@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 parse/usage error, 3 precondition violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -462,10 +463,15 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """make_parser(), built once per process on first use; parsing leaves it unchanged."""
+    return make_parser()
+
+
 def run(argv) -> int:
-    ap = make_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

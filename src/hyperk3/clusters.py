@@ -222,11 +222,15 @@ def index(tc: TraceClusters) -> IndexData:
 def _assert_constraints(S, I_set, a_in, s, b_on, last_b_empty):
     # numerical constraints on (S, I, A_in, s, B_on); violated only by bugs
     nI = len(I_set)
-    assert S % 2 == nI % 2 == a_in % 2, "parity constraint broken"
-    assert abs(S) <= nI <= s - 1, "|S| <= |I| <= s-1 broken"
-    assert 2 * (s - 1) <= nI + a_in <= 2 * a_in, "cluster size bound broken"
+    if not S % 2 == nI % 2 == a_in % 2:
+        raise AssertionError("parity constraint broken")
+    if not abs(S) <= nI <= s - 1:
+        raise AssertionError("|S| <= |I| <= s-1 broken")
+    if not 2 * (s - 1) <= nI + a_in <= 2 * a_in:
+        raise AssertionError("cluster size bound broken")
     # at odd rank the bottom B cluster is an end and may be empty
-    assert s - (1 if last_b_empty else 0) <= b_on, "s <= |B_on| broken"
+    if s - (1 if last_b_empty else 0) > b_on:
+        raise AssertionError("s <= |B_on| broken")
 
 
 def _rho(tc: TraceClusters, tau) -> int:

@@ -156,7 +156,8 @@ def classify_rank22(tc: TraceClusters):
             else:
                 continue
         data = index(tc)
-        assert data.epsilon * data.p_minus_q == value, "classification vs index formula"
+        if data.epsilon * data.p_minus_q != value:
+            raise AssertionError("classification vs index formula")
         return case, value
     return None
 

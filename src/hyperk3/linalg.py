@@ -42,29 +42,8 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> Vector:
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-def vec_mat(v: Sequence, a: Sequence[Sequence]) -> Vector:
-    n = len(a)
-    return [sum(v[i] * a[i][j] for i in range(n)) for j in range(len(a[0]))]
-
-
 def dot(u: Sequence, v: Sequence):
     return sum(x * y for x, y in zip(u, v))
-
-
-def mat_eq(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
-    return len(a) == len(b) and all(list(x) == list(y) for x, y in zip(a, b))
-
-
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    n = len(a)
-    out = identity(n)
-    base = [row[:] for row in a]
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base) if k > 1 else base
-        k >>= 1
-    return out
 
 
 def bareiss_det(mat: Sequence[Sequence[int]]) -> int:

@@ -10,18 +10,18 @@ for a unique unit U(w) of Z[w]/(R).  The coefficients of U come out of a
 triangular integer recurrence driven by the pairings (F^j r, r); the
 converse direction rebuilds the reflection C in the vector 1 and recovers
 the companion pair, hence the degree-halved polynomial of the second
-generator.  Traces are computed as traces of exact multiplication matrices;
-no number-field package is involved.
+generator.  Both directions evaluate traces by Euler's formula
+Tr(g(w) / R'(w)) = [g]_R, the coefficient of w^(N-1) in g mod R, for
+squarefree R (Serre, Local Fields, III 6), in integer arithmetic; no
+number-field package is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .hyplattice import companion
-from .polyring import IntPoly, pair_power, palindrome_class, trace_poly
+from .polyring import IntPoly, pair_power, palindrome_class, poly_gcd, trace_poly
 from .polyring.roots import AlgebraicReal, isolated_roots_shared
 
 
@@ -121,100 +121,54 @@ def verify_unit(U: IntPoly, R: IntPoly, tau: AlgebraicReal | None = None):
     return True, None
 
 
+def _trace_sequence(U: IntPoly, S: IntPoly, count: int) -> list[int]:
+    """t_k = (1, z^k) = (z^k, 1) under the trace form, for k = 0 .. count.
+
+    Tr^K_Q = Tr_Q(w) o Tr_K/Q(w) and Tr_K/Q(w)(z^k) = z^k + z^-k = P_k(w),
+    so Euler's formula gives t_k = Tr(U P_k / R') = [U P_k]_R with
+    R = trace_poly(S).  The formula holds when R is squarefree, which is
+    also when R'(w) is invertible in Z[z]/(S).
+    """
+    if (not S.is_monic() or S.degree < 2 or S.degree % 2
+            or palindrome_class(S) != "palindromic"):
+        raise ValueError("S must be monic and palindromic of positive even degree")
+    R = trace_poly(S)
+    if poly_gcd(R, R.derivative()).degree > 0:
+        raise ValueError("the trace polynomial of S must be squarefree")
+    return [_rem_top_coeff(U * chebyshev_P(k), R) for k in range(count + 1)]
+
+
 def trace_form_gram(U: IntPoly, S: IntPoly):
     """Gram of the basis 1, z, ..., z^(2N-1) of Z[z]/(S) under the trace form.
 
-    (z^i, z^j) = Tr( multiplication by U(w) z^(i-j) / R'(w) mod S ), which
-    depends only on i - j; computed exactly over Q and returned as integers.
+    (z^i, z^j) = Tr(U(w) z^(i-j) / R'(w)) = t_|i-j|, with t_k from Euler's
+    formula; integral because R is monic, symmetric because P_k = P_(-k).
     """
-    if palindrome_class(S) != "palindromic" or S.degree % 2:
-        raise ValueError("S must be palindromic of even degree")
-    if abs(S.constant()) != 1:
-        raise ValueError("S must have unit constant term")
     n = S.degree
-    R = trace_poly(S)
-    w_in_z = _w_mod_s(S)
-    u_z = _eval_poly_mod(U, w_in_z, S)
-    rp_z = _eval_poly_mod(R.derivative(), w_in_z, S)
-    base = _frac_mat_mul(
-        _to_frac(multiplication_matrix(u_z, S)),
-        linalg.mat_inverse(_to_frac_sq(multiplication_matrix(rp_z, S))),
-    )
-    z_mat = companion(S)
-    z_inv = linalg.mat_inverse(z_mat)
-    traces = {}
-    cur = [row[:] for row in base]
-    for k in range(n):
-        traces[k] = sum(cur[i][i] for i in range(n))
-        cur = _frac_mat_mul(cur, _to_frac(z_mat))
-    cur = _frac_mat_mul(base, _to_frac(z_inv))
-    for k in range(1, n):
-        traces[-k] = sum(cur[i][i] for i in range(n))
-        cur = _frac_mat_mul(cur, _to_frac(z_inv))
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            v = traces[i - j]
-            if v.denominator != 1:
-                raise AssertionError("trace form produced a non-integer")
-            out[i][j] = int(v)
-    for k in range(1, n):
-        if out[0][k] != out[k][0]:
-            raise AssertionError("trace form is not symmetric")
-    return out
-
-
-def _w_mod_s(S: IntPoly) -> IntPoly:
-    """z + 1/z reduced mod S: 1/z = -(S(z) - S(0)) / (z S(0)) as a polynomial."""
-    s0 = S.constant()
-    k = IntPoly(S.coeffs[1:])  # (S - S(0)) / z
-    inv_z = IntPoly(tuple(-s0 * c for c in k.coeffs))  # s0^2 = 1
-    return IntPoly.variable() + inv_z
-
-
-def _eval_poly_mod(p: IntPoly, x: IntPoly, modulus: IntPoly) -> IntPoly:
-    acc = IntPoly.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-        _, acc = acc.divmod_exact(modulus)
-    return acc
-
-
-def _to_frac(m):
-    return [[Fraction(x) for x in row] for row in m]
-
-
-def _to_frac_sq(m):
-    return [[Fraction(x) for x in row] for row in m]
-
-
-def _frac_mat_mul(a, b):
-    return linalg.mat_mul(a, b)
+    t = _trace_sequence(U, S, n - 1)
+    return [[t[abs(i - j)] for j in range(n)] for i in range(n)]
 
 
 def recover_phi(U: IntPoly, S: IntPoly) -> IntPoly:
     """Recover the degree-halved polynomial of the reflection partner.
 
-    Builds the trace-form Gram of Z[z]/(S), forms the reflection C in the
-    vector 1 (which needs (1,1) = +-2), sets A := M_z C and returns the
-    degree-(N-1) polynomial Phi with char(A) = (z^2-1) z^(N-1) Phi(z+1/z).
+    The reflection C in the vector 1 needs (1,1) = t_0 = +-2.  A := M_z C
+    differs from M_z by a rank-one term, so, as in hyplattice.taylor_coeffs,
+
+        det(z - A) / S(z) = 1 + sum_(i>=1) t_i z^-i / (t_0/2)
+
+    at infinity.  phi = det(z - A) is the polynomial part of S(z) times this
+    series cut at i = 2N, and Phi is the trace polynomial of phi / (z^2 - 1),
+    i.e. char(A) = (z^2-1) z^(N-1) Phi(z+1/z).
     """
-    gram = trace_form_gram(U, S)
     n = S.degree
-    norm1 = gram[0][0]
-    if norm1 not in (2, -2):
-        raise ValueError(f"(1,1) = {norm1}; the reflection construction needs +-2")
-    # C v = v - 2 (v, 1)/(1,1) * 1
-    c_mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for j in range(n):
-        c_mat[0][j] -= 2 * gram[0][j] // norm1
-    a_mat = linalg.mat_mul(companion(S), c_mat)
-    phi = IntPoly(tuple(linalg.charpoly(a_mat)))
-    if palindrome_class(phi) == "anti_palindromic":
-        pass
-    elif palindrome_class(IntPoly(tuple(-c for c in phi.coeffs))) == "anti_palindromic":
-        phi = -phi
-    else:
-        raise AssertionError("recovered characteristic polynomial is not anti-palindromic")
-    core = phi.divexact(IntPoly((-1, 0, 1)))
-    return trace_poly(core)
+    t = _trace_sequence(U, S, n)
+    if t[0] not in (2, -2):
+        raise ValueError(f"(1,1) = {t[0]}; the reflection construction needs +-2")
+    half = t[0] // 2  # +-1, so dividing by it is multiplying
+    eta = [1] + [t[i] * half for i in range(1, n + 1)]
+    phi = IntPoly(tuple(sum(S.coeffs[m + i] * eta[i] for i in range(n - m + 1))
+                        for m in range(n + 1)))
+    if palindrome_class(phi) != "anti_palindromic":
+        raise ValueError("recovered characteristic polynomial is not anti-palindromic")
+    return trace_poly(phi.divexact(IntPoly((-1, 0, 1))))

@@ -138,8 +138,8 @@ def enumerate_root_system(gram_pos) -> list[tuple[int, ...]]:
             total = used
             if total == 2:
                 roots.append(tuple(t))
-            elif total != 0:
-                assert total != 1, "even lattice attained Q = 1"
+            elif total == 1:
+                raise AssertionError("even lattice attained Q = 1")
             return
         rem = budget - used
         pj = p_of(j)
@@ -180,7 +180,8 @@ def positive_simple_roots(roots, gram_pos) -> RootSystemData:
     positive = [r for r in roots if _is_positive(r)]
     positive.sort()
     pos_set = set(positive)
-    assert 2 * len(positive) == len(roots), "roots must come in +- pairs"
+    if 2 * len(positive) != len(roots):
+        raise AssertionError("roots must come in +- pairs")
     simple = []
     for p in positive:
         if not any(tuple(a - b for a, b in zip(p, q)) in pos_set for q in positive):
@@ -348,7 +349,8 @@ def bring_back(pic: PicardLattice, rs: RootSystemData,
     gu = [linalg.mat_vec(gram, list(u)) for u in pos]
     delta = rs.weyl_vector
     delta_u = [sum(delta[i] * gu_k[i] for i in range(rho)) for gu_k in gu]
-    assert all(v > 0 for v in delta_u), "Weyl vector must pair positively with every positive root"
+    if not all(v > 0 for v in delta_u):
+        raise AssertionError("Weyl vector must pair positively with every positive root")
     if tie_break not in ("lowest", "highest"):
         raise ValueError("tie_break must be 'lowest' or 'highest'")
     prefer_high = tie_break == "highest"
@@ -412,7 +414,8 @@ def preserves_positive_roots(result: BringBackResult, rs: RootSystemData) -> boo
 
 def modified_invariants(result: BringBackResult, pic: PicardLattice):
     """(chi_tilde, trace, chi1_tilde all-cyclotomic check) with exact factorization."""
-    assert result.chi_tilde == pic.chi0 * result.chi1_tilde
+    if result.chi_tilde != pic.chi0 * result.chi1_tilde:
+        raise AssertionError("chi~ must factor as chi0 * chi1~")
     cyclo = classify_product(result.chi1_tilde).all_cyclotomic() \
         if result.chi1_tilde.degree > 0 else True
     return result.chi_tilde, result.trace_tilde, cyclo

@@ -357,7 +357,7 @@ def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # bounded: a scan or a query loop meets new pairs without end
 def resultant(f: IntPoly, g: IntPoly) -> int:
     """Sylvester-matrix resultant, sign included.
 
@@ -455,7 +455,7 @@ def palindromic_expand(F: IntPoly) -> IntPoly:
     return IntPoly(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def trace_polynomial_pair(phi: IntPoly, psi: IntPoly) -> tuple[IntPoly, IntPoly]:
     """Degree-halved pair (Phi, Psi) for an anti-palindromic/palindromic pair.
 

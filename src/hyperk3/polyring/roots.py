@@ -76,13 +76,13 @@ def open_root_count(f: IntPoly, lo: Fraction, hi: Fraction) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _sf_chain(coeffs: tuple) -> tuple:
     """Sturm chain of the squarefree part, cached per polynomial."""
     return tuple(_sturm_chain(_SF_CACHE(coeffs)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _SF_CACHE(coeffs: tuple) -> IntPoly:
     f = IntPoly(coeffs)
     if f.degree > 1:
@@ -92,7 +92,7 @@ def _SF_CACHE(coeffs: tuple) -> IntPoly:
     return f
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _gcd_cached(c1: tuple, c2: tuple) -> IntPoly:
     return poly_gcd(IntPoly(c1), IntPoly(c2))
 

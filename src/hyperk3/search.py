@@ -180,7 +180,8 @@ def _worker_deg22(args):
     tau = cert.special_trace.retargeted(R)
     verdict = threshold_classify_deg22(tau)
     full = siegel_test(tau, builtin_q("fixed_point"))
-    assert full.verdict == verdict
+    if full.verdict != verdict:
+        raise AssertionError("threshold verdict disagrees with the full Siegel test")
     return SearchEntry(f"R{i}", tuple(sorted(multiset)), cert.case, cert.table,
                        _root_label(tau, R, "y"), verdict, cert)
 
@@ -190,7 +191,8 @@ def scan_deg22(r_index: int, jobs: int | None = None) -> list[SearchEntry]:
     if not 1 <= r_index <= 10:
         raise ValueError("index must be 1..10")
     R = salem_trace_deg11(r_index)
-    assert R.trace() == -1, "Salem trace polynomials here must have trace -1"
+    if R.trace() != -1:
+        raise AssertionError("Salem trace polynomials here must have trace -1")
     candidates = []
     ok = _resultant_ok_map(R)
     for multiset in enumerate_ct_products(10, "one_multiple_le3"):

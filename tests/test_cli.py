@@ -3,7 +3,13 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import hyperk3
+from hyperk3 import cli
 from hyperk3.cli import run
 
 
@@ -145,3 +151,24 @@ def test_picard_record():
     assert rep["result"]["rho"] == 12
     gram = rep["result"]["gram_pos"]
     assert len(gram) == 12 and gram[0][0] % 2 == 0
+
+
+def _first_call(argv):
+    """stdout of run(argv) as the first call of a fresh interpreter."""
+    src = Path(hyperk3.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys; from hyperk3.cli import run; sys.exit(run(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    return proc.returncode, proc.stdout
+
+
+def test_parser_reuse_keeps_defaults():
+    """A reused parser carries no flag from one call into the next."""
+    cli._parser.cache_clear()
+    calls = [["--format", "tsv", "catalog"], ["catalog"],
+             ["catalog", "--format", "pretty"], ["catalog"]]
+    for argv in calls:
+        rc, out, _ = cap(argv)
+        assert (rc, out) == _first_call(argv), argv
+    assert cli._parser.cache_info().misses == 1

@@ -1,9 +1,15 @@
 """The unit recurrence, trace-form reconstruction and recovery round trips."""
 
+import contextlib
+import io
+from fractions import Fraction
+
 import pytest
 
+from hyperk3 import linalg
+from hyperk3.cli import run
 from hyperk3.clusters import compute_trace_clusters, index
-from hyperk3.hyplattice import build_lattice
+from hyperk3.hyplattice import build_lattice, companion
 from hyperk3.k3class import k3_certificate
 from hyperk3.numfield import (
     chebyshev_P,
@@ -17,9 +23,12 @@ from hyperk3.polyring import (
     IntPoly,
     cyclotomic_trace,
     pair_from_trace,
+    palindrome_class,
     palindromic_expand,
+    parse_poly,
     salem_deg22,
     salem_trace_deg11,
+    trace_poly,
 )
 
 CT = cyclotomic_trace
@@ -145,5 +154,123 @@ def test_recover_rejects_wrong_normalization():
 def test_multiplication_matrix_charpoly():
     R = salem_trace_deg11(3)
     m = multiplication_matrix(IntPoly.variable(), R)
-    from hyperk3 import linalg
     assert IntPoly(tuple(linalg.charpoly(m))) == R
+
+
+# ---------------------------------------------------------------------------
+# differential test against the rational-matrix construction
+# ---------------------------------------------------------------------------
+
+
+def ref_trace_form_gram(U, S):
+    """The trace form as traces of exact rational 22x22 matrices (reference only).
+
+    (z^i, z^j) is the trace of multiplication by U(w) z^(i-j) / R'(w) on
+    Q[z]/(S), with w = z + 1/z reduced mod S and R'(w) inverted by
+    Gauss-Jordan elimination.
+    """
+    if palindrome_class(S) != "palindromic" or S.degree % 2:
+        raise ValueError("S must be palindromic of even degree")
+    if abs(S.constant()) != 1:
+        raise ValueError("S must have unit constant term")
+    n = S.degree
+    R = trace_poly(S)
+    inv_z = IntPoly(tuple(-S.constant() * c for c in S.coeffs[1:]))  # 1/z mod S
+    w_in_z = IntPoly.variable() + inv_z
+
+    def eval_mod(p):
+        acc = IntPoly.zero()
+        for c in reversed(p.coeffs):
+            _, acc = (acc * w_in_z + c).divmod_exact(S)
+        return acc
+
+    def frac(m):
+        return [[Fraction(x) for x in row] for row in m]
+
+    base = linalg.mat_mul(frac(multiplication_matrix(eval_mod(U), S)),
+                          linalg.mat_inverse(frac(multiplication_matrix(
+                              eval_mod(R.derivative()), S))))
+    z_mat = companion(S)
+    z_inv = linalg.mat_inverse(z_mat)
+    traces = {}
+    cur = [row[:] for row in base]
+    for k in range(n):
+        traces[k] = sum(cur[i][i] for i in range(n))
+        cur = linalg.mat_mul(cur, frac(z_mat))
+    cur = linalg.mat_mul(base, frac(z_inv))
+    for k in range(1, n):
+        traces[-k] = sum(cur[i][i] for i in range(n))
+        cur = linalg.mat_mul(cur, frac(z_inv))
+    out = [[traces[i - j] for j in range(n)] for i in range(n)]
+    assert all(v.denominator == 1 for row in out for v in row)
+    assert all(out[0][k] == out[k][0] for k in range(n))
+    return [[int(v) for v in row] for row in out]
+
+
+def ref_recover_phi(U, S, gram=None):
+    """Phi from the Berkowitz charpoly of M_z C, C the reflection in 1 (reference only)."""
+    gram = ref_trace_form_gram(U, S) if gram is None else gram
+    n = S.degree
+    norm1 = gram[0][0]
+    if norm1 not in (2, -2):
+        raise ValueError(f"(1,1) = {norm1}; the reflection construction needs +-2")
+    c_mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for j in range(n):
+        c_mat[0][j] -= 2 * gram[0][j] // norm1
+    phi = IntPoly(tuple(linalg.charpoly(linalg.mat_mul(companion(S), c_mat))))
+    if palindrome_class(phi) != "anti_palindromic":
+        raise ValueError("recovered characteristic polynomial is not anti-palindromic")
+    return trace_poly(phi.divexact(IntPoly((-1, 0, 1))))
+
+
+def unit_of(Phi, R):
+    return unit_from_gram(k3_gram_row(Phi, R, R.degree - 1), R).U
+
+
+DIFFERENTIAL = [(CT(1) ** 3 * CT(3) * CT(4) * CT(6) * CT(16), 1)] + [
+    (Phi, case) for case, Phi in sorted(RECOVERED.items())]
+
+
+@pytest.mark.parametrize("Phi, i", DIFFERENTIAL, ids=[f"R{i}" for _, i in DIFFERENTIAL])
+def test_matches_rational_matrix_reference(Phi, i):
+    U, S = unit_of(Phi, salem_trace_deg11(i)), salem_deg22(i)
+    gram = ref_trace_form_gram(U, S)
+    assert trace_form_gram(U, S) == gram
+    assert recover_phi(U, S) == ref_recover_phi(U, S, gram) == Phi
+
+
+def test_recover_phi_every_table_row(svh_fixture):
+    rows = sorted({(int(psi[1:]), ks) for psi, _case, ks, _st, _v in svh_fixture})
+    assert len(rows) == 255
+    for i, ks in rows:
+        Phi = IntPoly.one()
+        for k in ks:
+            Phi = Phi * CT(k)
+        R = salem_trace_deg11(i)
+        assert recover_phi(unit_of(Phi, R), salem_deg22(i)) == Phi, (i, ks)
+
+
+# (U, S) pairs both constructions reject; S = z^2 - 3z + 1 has R = w - 3
+BAD_INPUTS = {
+    "non-monic": ("1", "-(z^2-3*z+1)"),
+    "non-palindromic": ("1", "z^2-3*z+2"),
+    "odd-degree": ("1", "(z+1)*(z^2-3*z+1)"),
+    "R-not-squarefree": ("1", "(z^2-3*z+1)^2"),
+    "norm-4": ("2", "z^2-3*z+1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_inputs_rejected(name):
+    u_text, s_text = BAD_INPUTS[name]
+    U, S = parse_poly(u_text)[1], parse_poly(s_text)[1]
+    for recover in (recover_phi, ref_recover_phi):
+        with pytest.raises(ValueError):
+            recover(U, S)
+    if name != "norm-4":
+        with pytest.raises(ValueError):
+            trace_form_gram(U, S)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert run(["recover", f"--unit={u_text}", f"--salem={s_text}"]) == 3
+    assert err.getvalue().startswith("hyperk3: ")

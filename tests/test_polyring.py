@@ -418,3 +418,12 @@ def test_format_round_trip():
         f = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 6))] + [rng.choice([1, 2, -3])])
         var, p = parse_poly(f.format("z"))
         assert p == f
+
+
+def test_per_query_caches_are_bounded():
+    """Caches keyed by arbitrary polynomials must not grow without limit."""
+    from hyperk3.polyring import poly, roots
+
+    for cached in (poly.resultant, poly.trace_polynomial_pair, roots._sf_chain,
+                   roots._SF_CACHE, roots._gcd_cached):
+        assert cached.cache_info().maxsize is not None, cached.__name__
