@@ -33,7 +33,7 @@ from .polyring import (
     trace_polynomial_pair,
 )
 from .polyring.roots import AlgebraicReal, isolated_roots_shared
-from .search import list_ct_catalog, scan_deg22, scan_lehmer
+from .search import list_ct_catalog, resolve_jobs, scan_deg22, scan_lehmer
 from .siegel import Q_LABELS, builtin_q, siegel_test
 
 
@@ -291,7 +291,7 @@ def cmd_siegel(args):
 
 
 def cmd_scan(args):
-    jobs = args.jobs
+    jobs = resolve_jobs(args.jobs)
     if args.family == "deg22":
         indices = [int(args.psi[1:])] if args.psi else list(range(1, 11))
         entries = []
@@ -437,8 +437,9 @@ def make_parser() -> argparse.ArgumentParser:
     sp = new("scan", "table-reproducing searches")
     sp.add_argument("--family", choices=("deg22", "lehmerA", "lehmerB"), required=True)
     sp.add_argument("--psi", help="restrict deg22 to one of R1..R10")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default: HYPERK3_THREADS or 1)")
+    sp.add_argument("--jobs", default=None,
+                    help="worker processes, capped at the CPU count "
+                         "(default: HYPERK3_THREADS or 1)")
 
     _add_pair(new("unit", "number-field unit of a side-B pair"))
 

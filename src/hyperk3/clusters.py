@@ -29,8 +29,9 @@ class TraceClusters:
     a_clusters has s+1 entries for even rank parity and s for odd; every
     entry is a tuple of AlgebraicReal sorted decreasing (cluster 0 sits
     nearest +2).  Sizes count multiplicity.  a_gt2 / b_gt2 count real roots
-    in (2, inf); a_off_total / b_off_total count all roots off [-2, 2]
-    including complex ones.
+    in (2, inf) and a_lt2 / b_lt2 those in (-inf, -2); a_off_total /
+    b_off_total count all roots off [-2, 2] including complex ones.  The
+    antipode negates every root, so its gt2 counts are these lt2 counts.
     """
 
     s: int | None
@@ -38,6 +39,8 @@ class TraceClusters:
     b_clusters: tuple
     a_gt2: int
     b_gt2: int
+    a_lt2: int
+    b_lt2: int
     a_off_total: int
     b_off_total: int
     rank_parity: str
@@ -129,15 +132,15 @@ def compute_trace_clusters(Phi: IntPoly, Psi: IntPoly, rank_parity: str = "even"
             else:
                 on.append(r)
         off_total = (poly.degree if poly.degree >= 0 else 0) - sum(r.multiplicity for r in on)
-        return on, gt2, off_total
+        return on, gt2, below, off_total
 
-    a_on, a_gt2, a_off = split(a_roots, Phi)
-    b_on, b_gt2, b_off = split(b_roots, Psi)
+    a_on, a_gt2, a_lt2, a_off = split(a_roots, Phi)
+    b_on, b_gt2, b_lt2, b_off = split(b_roots, Psi)
     mult2 = sum(r.multiplicity for r in a_on + b_on if r == 2)
     mult_neg2 = sum(r.multiplicity for r in a_on + b_on if r == -2)
 
     if not b_on and rank_parity == "even":
-        return TraceClusters(None, (), (), a_gt2, b_gt2, a_off, b_off,
+        return TraceClusters(None, (), (), a_gt2, b_gt2, a_lt2, b_lt2, a_off, b_off,
                              rank_parity, mult2, mult_neg2, tuple(a_on), tuple(b_on))
 
     # merge on-interval roots in decreasing order; coprimality makes every
@@ -171,7 +174,7 @@ def compute_trace_clusters(Phi: IntPoly, Psi: IntPoly, rank_parity: str = "even"
         if len(a_clusters) != s:
             raise AssertionError("interlacing bookkeeping failed")
     return TraceClusters(s, tuple(a_clusters), tuple(b_clusters), a_gt2, b_gt2,
-                         a_off, b_off, rank_parity, mult2, mult_neg2,
+                         a_lt2, b_lt2, a_off, b_off, rank_parity, mult2, mult_neg2,
                          tuple(a_on), tuple(b_on))
 
 

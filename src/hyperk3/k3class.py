@@ -355,6 +355,11 @@ def k3_certificate_explain(phi: IntPoly, psi: IntPoly, side: str,
         return None, "lattice is not unimodular"
     reason = "no matching configuration"
     for antipode in (False, True):
+        # The antipode negates every root of Phi and Psi, so on side B it can
+        # match only if the untwisted Psi has exactly one real root below -2
+        # and no other root off [-2, 2].  Its reason is never reported.
+        if antipode and side == "B" and not (tc.b_lt2 == 1 and tc.b_off_total == 1):
+            break
         ph, ps = (phi, psi) if not antipode else antipode_pair(phi, psi)
         Phi, Psi = trace_polynomial_pair(ph, ps)
         hint_a = a_roots if not antipode else None

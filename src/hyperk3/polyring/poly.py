@@ -7,7 +7,7 @@ polynomials, ``w`` for trace polynomials); the arithmetic does not care.
 
 On top of the ring operations this module provides the palindrome /
 anti-palindrome tests, the degree-halving trace-polynomial transform
-w = z + 1/z and its inverse expansion, Sylvester resultants (fraction-free),
+w = z + 1/z and its inverse expansion, resultants by the subresultant PRS,
 cyclotomic and cyclotomic-trace polynomials in both the standard and the
 squared convention, squarefree (Yun) decomposition, Newton power sums, and
 the cyclotomic/Salem factor classifier.
@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from typing import Iterable
-
-from ..linalg import bareiss_det
 
 
 class IntPoly:
@@ -309,21 +307,29 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
 
 def _pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
     """Pseudo-remainder: rem(lc(g)^(df-dg+1) * f, g), exact in Z[x]."""
-    df, dg = f.degree, g.degree
-    if df < dg:
+    if f.degree < g.degree:
         return f
-    lc = g.leading()
-    rem = list((f * IntPoly.const(lc ** (df - dg + 1))).coeffs)
-    for i in range(df - dg, -1, -1):
-        if len(rem) <= i + dg:
-            continue
-        q = rem[i + dg] // lc
-        if rem[i + dg] % lc != 0:
+    return IntPoly(_prem(f.coeffs, g.coeffs))
+
+
+def _prem(a, b) -> list[int]:
+    """_pseudo_rem on coefficient sequences (constant first, deg a >= deg b >= 0)."""
+    lc = b[-1]
+    db = len(b) - 1
+    steps = len(a) - db
+    scale = lc ** steps
+    rem = [c * scale for c in a]
+    for i in range(steps - 1, -1, -1):
+        q, r = divmod(rem[i + db], lc)
+        if r:
             raise ArithmeticError("pseudo-remainder broke exactness")
         if q:
-            for j, c in enumerate(g.coeffs):
-                rem[i + j] -= q * c
-    return IntPoly(rem)
+            for j in range(db):
+                rem[i + j] -= q * b[j]
+    del rem[db:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
 
 
 def squarefree_part(f: IntPoly) -> IntPoly:
@@ -359,28 +365,55 @@ def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
 
 @lru_cache(maxsize=32)  # bounded: a scan or a query loop meets new pairs without end
 def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Sylvester-matrix resultant, sign included.
+    """Resultant by the subresultant PRS, sign included.
 
     Convention: Res(f, g) = lc(f)^deg(g) * prod g(alpha) over the roots of f,
     which is det of the Sylvester matrix.  Degree-zero conventions:
     Res(c, g) = c^deg(g), Res(f, c) = c^deg(f), Res(c, d) = 1.
+
+    Collins' subresultant pseudo-remainder sequence (Collins 1967,
+    Brown-Traub 1971) as in Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 3.3.7, whose g and h are lg and lh here.  Every division by
+    lg * lh^delta and every update of lh is exact in Z, so the coefficients
+    stay as small as the subresultants; an inexact one raises ArithmeticError.
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
-    m, n = f.degree, g.degree
-    if m == 0:
-        return f.constant() ** n
-    if n == 0:
-        return g.constant() ** m
-    size = m + n
-    rows = []
-    fc = list(reversed(f.coeffs))  # leading first
-    gc = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([0] * i + fc + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gc + [0] * (size - n - 1 - i))
-    return bareiss_det(rows)
+    if f.degree == 0:
+        return f.constant() ** g.degree
+    if g.degree == 0:
+        return g.constant() ** f.degree
+    a, b = f.content(), g.content()
+    t = a ** g.degree * b ** f.degree
+    A = [c // a for c in f.coeffs]
+    B = [c // b for c in g.coeffs]
+    s = 1
+    if len(A) < len(B):
+        A, B = B, A
+        if len(A) % 2 == 0 and len(B) % 2 == 0:  # both degrees odd
+            s = -1
+    lg = lh = 1
+    while len(B) > 1:
+        delta = len(A) - len(B)
+        if len(A) % 2 == 0 and len(B) % 2 == 0:
+            s = -s
+        R = _prem(A, B)
+        div = lg * lh ** delta
+        A, B = B, [_exact_div(c, div) for c in R]
+        lg = A[-1]
+        if delta:
+            lh = _exact_div(lg ** delta, lh ** (delta - 1))
+    if not B:
+        return 0
+    d = len(A) - 1
+    return s * t * _exact_div(B[-1] ** d, lh ** (d - 1))
+
+
+def _exact_div(x: int, y: int) -> int:
+    q, r = divmod(x, y)
+    if r:
+        raise ArithmeticError("subresultant division broke exactness")
+    return q
 
 
 # ---------------------------------------------------------------------------

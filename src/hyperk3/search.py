@@ -212,21 +212,6 @@ def _entry_key(e: SearchEntry):
     return (e.psi_label[0], int(e.psi_label[1:]), e.case, e.k_multiset)
 
 
-def _complete_lehmer_entry(entry: SearchEntry) -> SearchEntry:
-    """Attach Dynkin type, modified characteristic factor and trace."""
-    cert = entry.certificate
-    pic = picard_from_certificate(cert)
-    roots = enumerate_root_system(pic.gram_pos)
-    rs = positive_simple_roots(roots, pic.gram_pos)
-    result = bring_back(pic, rs)
-    if not preserves_positive_roots(result, rs):
-        raise AssertionError("modified matrix does not preserve the positive roots")
-    return SearchEntry(entry.psi_label, entry.k_multiset, entry.case, entry.table,
-                       entry.st_label, entry.verdict, cert,
-                       dynkin=rs.dynkin, chi1_tilde=result.chi1_tilde,
-                       trace_tilde=result.trace_tilde)
-
-
 _Q_BY_DYNKIN = {
     ("E6", "E6"): "fixed_point",
     ("E8", "A2", "A2"): "e8a2a2",
@@ -244,19 +229,7 @@ def _worker_lehmer_a(args):
         [(lehmer_trace(), 1)] + [(cyclotomic_trace(k), 1) for k in kset])
     cert = k3_certificate(phi, psi, "A", a_roots=a_roots,
                           b_roots=list(isolated_roots_shared(R)))
-    if cert is None or cert.projective:
-        return None
-    if cert.chi0 != lehmer():
-        return None  # special eigenvalue not conjugate to Lehmer's number
-    tau = cert.special_trace.retargeted(lehmer_trace())
-    entry = SearchEntry(f"R{i}", tuple(sorted(kset)), cert.case, cert.table,
-                        _root_label(tau, lehmer_trace(), "x"), "?", cert)
-    entry = _complete_lehmer_entry(entry)
-    q = builtin_q(_Q_BY_DYNKIN[entry.dynkin])
-    verdict = siegel_test(tau, q).verdict
-    return SearchEntry(entry.psi_label, entry.k_multiset, entry.case, entry.table,
-                       entry.st_label, verdict, cert, entry.dynkin,
-                       entry.chi1_tilde, entry.trace_tilde)
+    return _lehmer_entry(f"R{i}", kset, cert)
 
 
 def _worker_lehmer_b(args):
@@ -265,19 +238,31 @@ def _worker_lehmer_b(args):
     phi, psi = pair_from_trace(ct_product(multiset), Psi, "even")
     cert = k3_certificate(phi, psi, "B", a_roots=_ct_factor_roots(multiset),
                           b_roots=list(isolated_roots_shared(Psi)))
+    return _lehmer_entry(f"L{i}", multiset, cert)
+
+
+def _lehmer_entry(psi_label: str, multiset, cert) -> SearchEntry | None:
+    """The entry of a non-projective certificate whose chi0 is Lehmer's polynomial.
+
+    Attaches the Dynkin type, the modified characteristic factor and its
+    trace, and the Siegel verdict for the Dynkin type's q.
+    """
     if cert is None or cert.projective:
         return None
     if cert.chi0 != lehmer():
-        return None
+        return None  # special eigenvalue not conjugate to Lehmer's number
     tau = cert.special_trace.retargeted(lehmer_trace())
-    entry = SearchEntry(f"L{i}", tuple(sorted(multiset)), cert.case, cert.table,
-                        _root_label(tau, lehmer_trace(), "x"), "?", cert)
-    entry = _complete_lehmer_entry(entry)
-    q = builtin_q(_Q_BY_DYNKIN[entry.dynkin])
-    verdict = siegel_test(tau, q).verdict
-    return SearchEntry(entry.psi_label, entry.k_multiset, entry.case, entry.table,
-                       entry.st_label, verdict, cert, entry.dynkin,
-                       entry.chi1_tilde, entry.trace_tilde)
+    st_label = _root_label(tau, lehmer_trace(), "x")
+    pic = picard_from_certificate(cert)
+    roots = enumerate_root_system(pic.gram_pos)
+    rs = positive_simple_roots(roots, pic.gram_pos)
+    result = bring_back(pic, rs)
+    if not preserves_positive_roots(result, rs):
+        raise AssertionError("modified matrix does not preserve the positive roots")
+    verdict = siegel_test(tau, builtin_q(_Q_BY_DYNKIN[rs.dynkin])).verdict
+    return SearchEntry(psi_label, tuple(sorted(multiset)), cert.case, cert.table,
+                       st_label, verdict, cert, dynkin=rs.dynkin,
+                       chi1_tilde=result.chi1_tilde, trace_tilde=result.trace_tilde)
 
 
 def scan_lehmer(side: str, jobs: int | None = None) -> list[SearchEntry]:
@@ -300,7 +285,7 @@ def scan_lehmer(side: str, jobs: int | None = None) -> list[SearchEntry]:
             Psi = lehmer_nf(i)
             if not is_unramified(Psi):
                 continue
-            ok = {k: abs(resultant(cyclotomic_trace(k), Psi)) == 1 for k, _d in ct_catalog()}
+            ok = _resultant_ok_map(Psi)
             for multiset in enumerate_ct_products(10, "one_multiple_le3"):
                 if all(ok[k] for k in set(multiset)):
                     candidates.append((i, multiset))
@@ -312,9 +297,28 @@ def scan_lehmer(side: str, jobs: int | None = None) -> list[SearchEntry]:
     return entries
 
 
-def _run(worker, candidates, jobs):
+def resolve_jobs(jobs: int | str | None = None) -> int:
+    """Worker count from --jobs, or from HYPERK3_THREADS when jobs is None.
+
+    An empty value means 1; 0 and 1 both mean serial.  Values above
+    os.cpu_count() are capped.  Non-integer or negative values raise
+    ValueError before any worker starts.
+    """
     if jobs is None:
-        jobs = int(os.environ.get("HYPERK3_THREADS", "1") or "1")
+        jobs = os.environ.get("HYPERK3_THREADS", "")
+    if isinstance(jobs, str):
+        text = jobs.strip()
+        try:
+            jobs = int(text) if text else 1
+        except ValueError:
+            raise ValueError(f"worker count must be an integer, got {text!r}") from None
+    if jobs < 0:
+        raise ValueError(f"worker count must be >= 0, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
+def _run(worker, candidates, jobs):
+    jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(candidates) < 4:
         return [worker(c) for c in candidates]
     from concurrent.futures import ProcessPoolExecutor

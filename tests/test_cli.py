@@ -71,6 +71,14 @@ def test_precondition_exit_3():
     assert rc == 3
 
 
+def test_bad_jobs_exit_3(monkeypatch):
+    rc, _out, err = cap(["scan", "--family", "deg22", "--psi", "R7", "--jobs", "-1"])
+    assert rc == 3 and "worker count" in err
+    monkeypatch.setenv("HYPERK3_THREADS", "abc")
+    rc, _out, err = cap(["scan", "--family", "deg22", "--psi", "R7"])
+    assert rc == 3 and "worker count" in err
+
+
 def test_strict_none_exit_4():
     rc, out, _ = cap(["--strict", "certify", "--phi", "CT(5)*CT(7)*CT(11)",
                       "--psi", "R(1)", "--side", "B"])

@@ -126,6 +126,9 @@ def test_antipode_applied_automatically():
     PhiM, PsiM = trace_polynomial_pair(phi_m, psi_m)
     roots_above = [r for r in isolate_real_roots(PsiM) if r > 2]
     assert not roots_above
+    # ... and that is the case where side B still tries the antipode
+    tc = compute_trace_clusters(PhiM, PsiM)
+    assert tc.b_lt2 == 1 and tc.b_off_total == 1
 
 
 def test_parabolic_certificates_exist():
@@ -254,3 +257,54 @@ def test_renormalized_signature_is_3_19():
     assert cert.renormalized
     negated = [[-x for x in row] for row in lat.gram_a]
     assert signature_oracle(negated) == (3, 19)
+
+
+def _r7_candidates():
+    from hyperk3.search import _resultant_ok_map, enumerate_ct_products
+
+    ok = _resultant_ok_map(salem_trace_deg11(7))
+    return [ms for ms in enumerate_ct_products(10, "one_multiple_le3")
+            if all(ok[k] for k in set(ms))]
+
+
+def test_side_b_antipode_skip_loses_nothing():
+    """Where side B skips the antipode, the antipode evaluated in full is rejected too."""
+    from hyperk3.k3class import _match_side
+    from hyperk3.polyring import trace_polynomial_pair
+
+    R = salem_trace_deg11(7)
+    skipped = 0
+    for ms in _r7_candidates():
+        phi, psi = pair_from_trace(ctp(ms), R, "even")
+        tc = compute_trace_clusters(*trace_polynomial_pair(phi, psi))
+        ph, ps = antipode_pair(phi, psi)
+        PhiM, PsiM = trace_polynomial_pair(ph, ps)
+        tcm = compute_trace_clusters(PhiM, PsiM)
+        # the antipode negates the roots: above 2 and below -2 trade places
+        assert (tcm.b_gt2, tcm.b_lt2, tcm.b_off_total) == (tc.b_lt2, tc.b_gt2, tc.b_off_total)
+        assert (tcm.a_gt2, tcm.a_lt2, tcm.a_off_total) == (tc.a_lt2, tc.a_gt2, tc.a_off_total)
+        if tc.b_lt2 == 1 and tc.b_off_total == 1:
+            continue
+        skipped += 1
+        if tcm.no_clusters:
+            assert tc.no_clusters
+        else:
+            assert isinstance(_match_side(tcm, PhiM, PsiM, "B"), str)
+    assert skipped > 200
+
+
+def test_scan_computes_clusters_once_per_candidate(monkeypatch):
+    from hyperk3 import k3class
+    from hyperk3.search import scan_deg22
+
+    calls = []
+    real = k3class.compute_trace_clusters
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(k3class, "compute_trace_clusters", counting)
+    entries = scan_deg22(7, jobs=1)
+    assert entries
+    assert len(calls) == len(_r7_candidates())

@@ -17,6 +17,7 @@ from hyperk3.polyring import (
     is_unramified,
     isolate_real_roots,
     lehmer,
+    lehmer_nf,
     lehmer_trace,
     newton_power_sum,
     pair_from_trace,
@@ -238,6 +239,77 @@ def test_resultant_against_sylvester_oracle():
         f = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 6))] + [1])
         g = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 6))] + [1])
         assert resultant(f, g) == sylvester_resultant(f, g)
+    rng = random.Random(7)  # non-monic, constants, common factors
+    for _ in range(200):
+        f = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(0, 7))] + [rng.choice([-4, -1, 2, 3])])
+        g = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(0, 7))] + [rng.choice([-3, -1, 1, 5])])
+        if rng.random() < 0.3:
+            h = IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))] + [rng.choice([1, -2])])
+            f, g = f * h, g * h
+        assert resultant(f, g) == sylvester_resultant(f, g)
+
+
+def test_resultant_edge_cases_against_oracle():
+    x = IntPoly.variable()
+    cases = [
+        ((x - 1) * (x + 2), (x - 1) * (x * x + 3)),          # common factor
+        ((x * x + 1) ** 2 * (x + 5), (x * x + 1) * (x - 7)),  # common factor, later in the PRS
+        (IntPoly.const(3), x ** 4 + x + 1),                   # constant first
+        (x ** 3 - 2 * x + 7, IntPoly.const(-2)),              # constant second
+        (IntPoly.const(-3), IntPoly.const(5)),                # both constant
+        (3 * x ** 2 + 2 * x - 1, 2 * x ** 3 - x + 5),         # non-monic
+        (-x ** 4 + 3 * x - 2, -2 * x ** 2 + x + 1),           # negative leading coefficients
+        (6 * x ** 2 + 4, 9 * x ** 3 - 3),                     # content > 1 on both sides
+        (-4 * x ** 3 + 8 * x - 2, 10 * x ** 5 + 5),           # content > 1, negative
+        (x + 3, x ** 5 - x ** 2 + 2),                         # deg f < deg g, both odd
+        (2 * x ** 3 - x + 1, x ** 5 + 4 * x ** 4 - 3),        # deg f < deg g, both odd
+        (x ** 2 + 1, x ** 3 + x + 1),                         # deg f < deg g, not both odd
+    ]
+    for f, g in cases:
+        assert resultant(f, g) == sylvester_resultant(f, g), (f, g)
+        assert resultant(g, f) == sylvester_resultant(g, f), (g, f)
+        assert resultant(f, g) == (-1) ** (f.degree * g.degree) * resultant(g, f)
+    assert resultant(cases[0][0], cases[0][1]) == 0
+    assert resultant(x + 3, x ** 5 - x ** 2 + 2) == -250  # g(-3)
+    assert resultant(x ** 5 - x ** 2 + 2, x + 3) == 250
+    with pytest.raises(ValueError):
+        resultant(IntPoly.zero(), x)
+
+
+def test_resultant_exact_divisions_raise():
+    from hyperk3.polyring import poly
+
+    assert poly._exact_div(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        poly._exact_div(7, 2)
+
+
+def test_resultant_against_sylvester_oracle_catalog_pairs():
+    """Every (CT_k, R_i), (CT_k, L_i) and (LT, R_i) pair the scans prefilter on."""
+    ks = cyclotomic_indices_up_to_degree(10)
+    partners = [salem_trace_deg11(i) for i in range(1, 11)] + [lehmer_nf(i) for i in range(1, 9)]
+    for P in partners:
+        for k in ks:
+            assert resultant(cyclotomic_trace(k), P) == sylvester_resultant(cyclotomic_trace(k), P)
+    for i in range(1, 11):
+        R = salem_trace_deg11(i)
+        assert resultant(lehmer_trace(), R) == sylvester_resultant(lehmer_trace(), R)
+
+
+def test_resultant_against_sylvester_oracle_deg22_candidates():
+    """The rank-22 (phi, psi) of every R7 deg22 scan candidate."""
+    from hyperk3.search import ct_product, enumerate_ct_products
+
+    R = salem_trace_deg11(7)
+    ok = {k: abs(sylvester_resultant(cyclotomic_trace(k), R)) == 1
+          for k in cyclotomic_indices_up_to_degree(10)}
+    count = 0
+    for ms in enumerate_ct_products(10, "one_multiple_le3"):
+        if all(ok[k] for k in ms):
+            phi, psi = pair_from_trace(ct_product(ms), R, "even")
+            assert resultant(phi, psi) == sylvester_resultant(phi, psi)
+            count += 1
+    assert count == 272
 
 
 def test_resultant_multiplicative():

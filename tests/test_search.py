@@ -6,9 +6,13 @@ from hyperk3.polyring import (
     parse_poly,
     salem_trace_deg11,
 )
+import pytest
+
+from hyperk3 import search
 from hyperk3.search import (
     enumerate_ct_products,
     list_ct_catalog,
+    resolve_jobs,
     scan_deg22,
 )
 
@@ -124,3 +128,37 @@ def test_lehmer_nf_catalog():
         psi = lehmer_nf(i)
         assert psi.degree == 11
     assert is_unramified(lehmer_nf(3))
+
+
+def test_resolve_jobs(monkeypatch):
+    """Worker counts are validated and capped without starting a pool."""
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("HYPERK3_THREADS", raising=False)
+    assert resolve_jobs() == 1
+    for value, want in (("", 1), ("  ", 1), ("0", 0), ("1", 1), (" 3 ", 3), ("99", 4)):
+        monkeypatch.setenv("HYPERK3_THREADS", value)
+        assert resolve_jobs() == want, value
+    for value in ("abc", "2.5", "-1"):
+        monkeypatch.setenv("HYPERK3_THREADS", value)
+        with pytest.raises(ValueError):
+            resolve_jobs()
+    monkeypatch.setenv("HYPERK3_THREADS", "abc")
+    assert resolve_jobs(2) == 2          # an explicit count wins over the environment
+    assert resolve_jobs("2") == 2
+    assert resolve_jobs(10 ** 6) == 4
+    with pytest.raises(ValueError):
+        resolve_jobs(-1)
+    with pytest.raises(ValueError):
+        resolve_jobs("x")
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert resolve_jobs(8) == 1
+
+
+def test_bad_worker_count_is_rejected_before_any_work(monkeypatch):
+    def never(*_args):
+        raise AssertionError("a worker ran")
+
+    monkeypatch.setattr(search, "_worker_deg22", never)
+    monkeypatch.setenv("HYPERK3_THREADS", "abc")
+    with pytest.raises(ValueError):
+        scan_deg22(7)
