@@ -29,8 +29,9 @@ from .polyring import (
     IntPoly,
     ParseError,
     palindrome_class,
+    palindromic_expand,
     parse_poly,
-    trace_polynomial_pair,
+    trace_poly,
 )
 from .polyring.roots import AlgebraicReal, isolated_roots_shared
 from .search import list_ct_catalog, resolve_jobs, scan_deg22, scan_lehmer
@@ -60,14 +61,14 @@ def normalize_pair(phi_text: str, psi_text: str):
     var_phi, p_phi = _parse_or_die(phi_text, "--phi")
     var_psi, p_psi = _parse_or_die(psi_text, "--psi")
     if var_psi == "w":
-        psi = _expand_palindromic(p_psi)
+        psi = palindromic_expand(p_psi)
     else:
         psi = p_psi
     if psi.is_zero() or palindrome_class(psi) != "palindromic":
         raise CliError("--psi must give a palindromic polynomial", 3)
     n = psi.degree
     if var_phi == "w":
-        phi = IntPoly((-1, 0, 1)) * _expand_palindromic(p_phi)
+        phi = IntPoly((-1, 0, 1)) * palindromic_expand(p_phi)
     else:
         cls = palindrome_class(p_phi) if not p_phi.is_zero() else "neither"
         if cls == "anti_palindromic":
@@ -81,12 +82,6 @@ def normalize_pair(phi_text: str, psi_text: str):
     if phi.degree != n:
         raise CliError(f"degree mismatch: phi has degree {phi.degree}, psi {n}", 3)
     return phi, psi
-
-
-def _expand_palindromic(p_w: IntPoly) -> IntPoly:
-    from .polyring import palindromic_expand
-
-    return palindromic_expand(p_w)
 
 
 def _fr(x: Fraction) -> str:
@@ -291,6 +286,8 @@ def cmd_siegel(args):
 
 
 def cmd_scan(args):
+    if args.psi and args.family != "deg22":
+        raise CliError("--psi applies only to --family deg22", 2)
     jobs = resolve_jobs(args.jobs)
     if args.family == "deg22":
         indices = [int(args.psi[1:])] if args.psi else list(range(1, 11))
@@ -335,12 +332,9 @@ def cmd_unit(args):
     if cert is None:
         raise CliError(f"no side-B certificate: {reason}", 4 if args.strict else 3)
     lat = build_lattice(cert.phi, cert.psi)
-    _Phi, Psi = trace_polynomial_pair(cert.phi, cert.psi)
     sign = -1 if cert.renormalized else 1
-    row = [sign * v for v in lat.xi_extended("B", Psi.degree - 1)]
-    data = unit_from_gram(row, Psi)
-    from .polyring import trace_poly
-
+    row = [sign * v for v in lat.xi_extended("B", cert.Psi.degree - 1)]
+    data = unit_from_gram(row, cert.Psi)
     tau = cert.special_trace.retargeted(trace_poly(cert.chi0))
     # the compatibility clause applies when the unit ring is the full trace
     # ring of psi, i.e. when chi0 = psi (Picard number zero)
@@ -363,8 +357,6 @@ def cmd_recover(args):
     if var_u == "z":
         raise CliError("--unit must be a polynomial in w", 3)
     if var_s == "w":
-        from .polyring import palindromic_expand
-
         s_poly = palindromic_expand(s_poly)
     try:
         Phi = recover_phi(u_poly, s_poly)
@@ -400,6 +392,17 @@ def _add_pair(sp, side=False):
                         help="which companion matrix acts (default: try B, then A)")
 
 
+def _positive_fraction(text: str) -> Fraction:
+    """--refine's type: a fraction above 0, else a usage error (exit 2)."""
+    try:
+        width = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}")
+    if width <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return width
+
+
 def make_parser() -> argparse.ArgumentParser:
     def add_common(parser, suppress):
         # the subparsers re-declare the shared flags with SUPPRESS defaults so
@@ -410,7 +413,7 @@ def make_parser() -> argparse.ArgumentParser:
         parser.add_argument("--strict", action="store_true",
                             help="exit 4 when a classification returns nothing",
                             **(kw if suppress else {}))
-        parser.add_argument("--refine", type=Fraction,
+        parser.add_argument("--refine", type=_positive_fraction,
                             help="interval width for displayed algebraic numbers",
                             **(kw or {"default": Fraction(1, 10 ** 8)}))
 
@@ -436,7 +439,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = new("scan", "table-reproducing searches")
     sp.add_argument("--family", choices=("deg22", "lehmerA", "lehmerB"), required=True)
-    sp.add_argument("--psi", help="restrict deg22 to one of R1..R10")
+    sp.add_argument("--psi", choices=[f"R{i}" for i in range(1, 11)], metavar="R1..R10",
+                    help="restrict deg22 to one R_i")
     sp.add_argument("--jobs", default=None,
                     help="worker processes, capped at the CPU count "
                          "(default: HYPERK3_THREADS or 1)")

@@ -76,12 +76,6 @@ class TraceClusters:
             out[size] = out.get(size, 0) + 1
         return out
 
-    def a_on_size(self) -> int:
-        return sum(r.multiplicity for r in self.a_on_roots)
-
-    def b_on_size(self) -> int:
-        return sum(r.multiplicity for r in self.b_on_roots)
-
     def signature_string(self, side: str) -> str:
         """The cluster pattern word, e.g. '0^2 1^7 2^1'."""
         pat = self.pattern(side)

@@ -92,11 +92,6 @@ class HgLattice:
     def mat_b(self) -> list[list[int]]:
         return linalg.mat_mul(self.mat_a, self.mat_c)
 
-    def gram_sequence(self, side: str) -> tuple[int, ...]:
-        """(F^i r, r) for i = 0 .. n-1 with F = A or B."""
-        base = self.xi if side == "A" else self.eta
-        return (2,) + base
-
     def xi_extended(self, side: str, count: int) -> list[int]:
         """(F^i r, r) for i = 0 .. count, extending past the stored window."""
         num, den = (self.psi, self.phi) if side == "A" else (self.phi, self.psi)

@@ -19,10 +19,6 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros(n: int, m: int) -> Matrix:
-    return [[0] * m for _ in range(n)]
-
-
 def transpose(a: Sequence[Sequence]) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 

@@ -25,11 +25,6 @@ from .polyring import IntPoly, pair_power, palindrome_class, poly_gcd, trace_pol
 from .polyring.roots import AlgebraicReal, isolated_roots_shared
 
 
-def chebyshev_P(j: int) -> IntPoly:
-    """P_j(z + 1/z) = z^j + z^-j: P_0 = 2, P_1 = w, P_(j+1) = w P_j - P_(j-1)."""
-    return pair_power(j)
-
-
 def _rem_top_coeff(g: IntPoly, R: IntPoly) -> int:
     """[g]_R: the coefficient of w^(N-1) in g mod R, guaranteed integral."""
     q, r = g.divmod_exact(R)
@@ -61,7 +56,7 @@ def unit_from_gram(gram_row, R: IntPoly) -> UnitData:
         raise ValueError("(r, r) must be even")
     c = [[0] * (n + 1) for _ in range(n + 1)]
     for j in range(1, n + 1):
-        pj = chebyshev_P(j - 1)
+        pj = pair_power(j - 1)
         for k in range(1, n + 1):
             c[j][k] = _rem_top_coeff(pj * IntPoly.monomial(n - k, 1), R)
     u = [0] * (n + 1)
@@ -135,7 +130,7 @@ def _trace_sequence(U: IntPoly, S: IntPoly, count: int) -> list[int]:
     R = trace_poly(S)
     if poly_gcd(R, R.derivative()).degree > 0:
         raise ValueError("the trace polynomial of S must be squarefree")
-    return [_rem_top_coeff(U * chebyshev_P(k), R) for k in range(count + 1)]
+    return [_rem_top_coeff(U * pair_power(k), R) for k in range(count + 1)]
 
 
 def trace_form_gram(U: IntPoly, S: IntPoly):

@@ -22,7 +22,6 @@ from .poly import (
     resultant,
     resultant_relation,
     squarefree_decomposition,
-    squarefree_part,
     totient_degree,
     trace_poly,
     trace_polynomial_pair,
@@ -53,7 +52,7 @@ __all__ = [
     "cyclotomic_trace", "euler_phi", "is_unramified", "newton_power_sum",
     "pair_from_trace", "pair_power", "palindrome_class", "palindromic_expand",
     "poly_gcd", "resultant", "resultant_relation", "squarefree_decomposition",
-    "squarefree_part", "totient_degree", "trace_poly", "trace_polynomial_pair",
+    "totient_degree", "trace_poly", "trace_polynomial_pair",
     "isolate_real_roots", "isolated_roots_shared", "open_root_count",
     "sturm_root_count", "lehmer", "lehmer_nf", "lehmer_trace", "salem_deg22",
     "salem_m", "salem_trace_deg11", "salem_trace_mt", "salem_trace_nt",

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 
 from . import atoms
-from .poly import IntPoly, cyclotomic, cyclotomic_trace
+from .poly import IntPoly, cyclotomic, cyclotomic_trace, palindromic_expand
 
 
 class ParseError(ValueError):
@@ -170,16 +170,7 @@ class _Parser:
     def _substitute_z(self, v: _Value) -> _Value:
         if v.var not in ("w", None) or v.offset != 0:
             raise ParseError("@z applies to a polynomial in w")
-        p = v.poly
-        out = _const(0)
-        zz = _Value("z", -1, IntPoly((1, 0, 1)))  # z + 1/z
-        power = _const(1)
-        for c in p.coeffs:
-            if c:
-                out = _add(out, _mul(power, _const(c)))
-            power = _mul(power, zz)
-        out = _Value("z", out.offset, out.poly)
-        return out
+        return _Value("z", -v.poly.degree, palindromic_expand(v.poly))
 
     def atom(self) -> _Value:
         tok = self.take()

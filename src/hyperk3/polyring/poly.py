@@ -7,7 +7,9 @@ polynomials, ``w`` for trace polynomials); the arithmetic does not care.
 
 On top of the ring operations this module provides the palindrome /
 anti-palindrome tests, the degree-halving trace-polynomial transform
-w = z + 1/z and its inverse expansion, resultants by the subresultant PRS,
+w = z + 1/z and its inverse expansion (both directions rest on one identity:
+for palindromic f of degree 2d, z^-d f = f_d + sum_(j=1..d) f_(d+j) P_j(w)
+with P_j(z + 1/z) = z^j + z^-j), resultants by the subresultant PRS,
 cyclotomic and cyclotomic-trace polynomials in both the standard and the
 squared convention, squarefree (Yun) decomposition, Newton power sums, and
 the cyclotomic/Salem factor classifier.
@@ -332,12 +334,6 @@ def _prem(a, b) -> list[int]:
     return rem
 
 
-def squarefree_part(f: IntPoly) -> IntPoly:
-    if f.degree <= 0:
-        return IntPoly.one() if not f.is_zero() else IntPoly.zero()
-    return f.primitive().divexact(poly_gcd(f, f.derivative()))
-
-
 def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
     """Yun's algorithm: [(g_i, i)] with f = content * prod g_i^i, g_i squarefree, coprime."""
     if f.degree <= 0:
@@ -448,43 +444,36 @@ def pair_power(j: int) -> IntPoly:
 def trace_poly(f: IntPoly) -> IntPoly:
     """The F with f(z) = z^d F(z + 1/z), for palindromic f of even degree 2d.
 
-    Peels monomials of F from the top: the coefficient of z^(d+j) in what is
-    left of f is exactly the coefficient of w^j in F.
+    A palindromic f has z^-d f = f_d + sum_(j=1..d) f_(d+j) (z^j + z^-j), and
+    z^j + z^-j = P_j(z + 1/z) (see pair_power), so F = f_d + sum_j f_(d+j) P_j:
+    O(d^2) integer operations over the cached P_j.
     """
     if palindrome_class(f) != "palindromic" or f.degree % 2 != 0:
         raise ValueError("trace polynomial needs a palindromic polynomial of even degree")
     d = f.degree // 2
-    rem = list(f.coeffs)
     out = [0] * (d + 1)
-    for j in range(d, 0, -1):
-        c = rem[d + j]
+    out[0] = f.coeffs[d]
+    for j in range(1, d + 1):
+        c = f.coeffs[d + j]
         if c:
-            out[j] = c
-            expanded = palindromic_expand(IntPoly.monomial(j, c))  # z^j * c (z+1/z)^j
-            for t, coef in enumerate(expanded.coeffs):
-                rem[t + (d - j)] -= coef
-    out[0] = rem[d]
-    rem[d] = 0
-    if any(rem):
-        raise AssertionError("palindromic peel left a nonzero residue")
+            for i, p in enumerate(pair_power(j).coeffs):
+                out[i] += c * p
     return IntPoly(out)
 
 
 def palindromic_expand(F: IntPoly) -> IntPoly:
-    """z^deg(F) * F(z + 1/z), the palindromic polynomial with trace polynomial F."""
+    """z^deg(F) * F(z + 1/z), the palindromic polynomial with trace polynomial F.
+
+    With d = deg F, z^d (z + 1/z)^j = sum_i comb(j, i) z^(d-j+2i).
+    """
     if F.is_zero():
         return F
     d = F.degree
     out = [0] * (2 * d + 1)
-    zsq1 = IntPoly((1, 0, 1))  # 1 + z^2
-    power = IntPoly.one()
-    # z^d F(z+1/z) = sum a_j (z^2+1)^j z^(d-j)
     for j, a in enumerate(F.coeffs):
         if a:
-            term = power * a
-            for t, c in enumerate(term.coeffs):
-                out[t + (d - j)] += c
-        power = power * zsq1
+            for i in range(j + 1):
+                out[d - j + 2 * i] += a * math.comb(j, i)
     return IntPoly(out)
 
 

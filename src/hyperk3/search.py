@@ -116,19 +116,6 @@ def ct_product(multiset) -> IntPoly:
     return out
 
 
-def _multiset_ok(multiset) -> bool:
-    counts = {}
-    for k in multiset:
-        counts[k] = counts.get(k, 0) + 1
-    multiples = [(k, c) for k, c in counts.items() if c > 1]
-    if not multiples:
-        return True
-    if len(multiples) > 1:
-        return False
-    k, c = multiples[0]
-    return k in MULTIPLE_OK and c <= 3
-
-
 @dataclass(frozen=True)
 class SearchEntry:
     psi_label: str

@@ -25,6 +25,7 @@ from .polyring import (
     isolated_roots_shared,
     lehmer,
     lehmer_trace,
+    palindromic_expand,
     poly_gcd,
     salem_trace_mt,
     salem_trace_nt,
@@ -106,7 +107,7 @@ def siegel_test(tau: AlgebraicReal, q: QFunction) -> SiegelVerdict:
     Salem-trace factor through tau (so tau is conjugate to a Salem number),
     and q(tau) is not 0 or 4 (else the verdict is 'indeterminate').
     """
-    minimal = _factor_through(tau)
+    minimal = tau.minpoly
     if not _is_salem_trace_shape(minimal):
         raise ValueError("tau must be a root of a Salem trace polynomial")
     if not (-2 < tau < 2):
@@ -130,11 +131,6 @@ def siegel_test(tau: AlgebraicReal, q: QFunction) -> SiegelVerdict:
     return SiegelVerdict("indeterminate", tau, None)
 
 
-def _factor_through(tau: AlgebraicReal) -> IntPoly:
-    """The squarefree part of tau's defining polynomial (conjugate set carrier)."""
-    return tau.minpoly
-
-
 TAU0 = AlgebraicReal(IntPoly((-7, -2, 1)), (Fraction(-2), Fraction(0)))  # 1 - 2 sqrt 2
 
 
@@ -144,7 +140,7 @@ def threshold_classify_deg22(tau: AlgebraicReal) -> str:
     Equivalent to siegel_test with the fixed-point q, whose value crosses 4
     exactly at tau0 on (-2, 2); the agreement is asserted.
     """
-    minimal = _factor_through(tau)
+    minimal = tau.minpoly
     if minimal.degree != 11 or not _is_salem_trace_shape(minimal):
         raise ValueError("tau must be a root in (-2,2) of a degree-11 Salem trace polynomial")
     if not (-2 < tau < 2):
@@ -188,12 +184,14 @@ def verify_D_identity() -> bool:
                    * cyclotomic(3) * cyclotomic(5))
     if not d.equals(closed):
         return False
-    # w-form: substitute w = (z^2+1)/z into z LT(w) / ((z+1) CT_1 CT_3 CT_5)
-    zz = _RatZ(IntPoly((1, 0, 1)), IntPoly((0, 1)))
-    num_w = _RatZ.of(IntPoly((0, 1))) * _rat_compose(lehmer_trace(), zz)
+    # w-form z LT(w) / ((z+1) CT_1 CT_3 CT_5) at w = z + 1/z, where
+    # p(z + 1/z) = palindromic_expand(p) / z^deg(p)
+    def in_z(p: IntPoly) -> _RatZ:
+        return _RatZ(palindromic_expand(p), IntPoly.monomial(p.degree))
+
+    num_w = _RatZ.of(IntPoly((0, 1))) * in_z(lehmer_trace())
     den_w = (_RatZ.of(IntPoly((1, 1)))
-             * _rat_compose(cyclotomic_trace(1), zz) * _rat_compose(cyclotomic_trace(3), zz)
-             * _rat_compose(cyclotomic_trace(5), zz))
+             * in_z(cyclotomic_trace(1)) * in_z(cyclotomic_trace(3)) * in_z(cyclotomic_trace(5)))
     w_form = num_w / den_w
     return w_form.equals(closed)
 
@@ -237,9 +235,3 @@ class _RatZ:
     def equals(self, other) -> bool:
         return self.num * other.den == other.num * self.den
 
-
-def _rat_compose(p: IntPoly, x: _RatZ) -> _RatZ:
-    out = _RatZ.zero()
-    for c in reversed(p.coeffs):
-        out = out * x + _RatZ.of(IntPoly.const(c))
-    return out

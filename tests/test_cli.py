@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hyperk3
 from hyperk3 import cli
 from hyperk3.cli import run
@@ -77,6 +79,37 @@ def test_bad_jobs_exit_3(monkeypatch):
     monkeypatch.setenv("HYPERK3_THREADS", "abc")
     rc, _out, err = cap(["scan", "--family", "deg22", "--psi", "R7"])
     assert rc == 3 and "worker count" in err
+
+
+@pytest.mark.parametrize("width", ["0", "-1/2", "1/0"])
+def test_bad_refine_exit_2(width):
+    """--refine takes a positive fraction; 0 once made root refinement loop forever."""
+    tail = ["siegel", "--tau-from", "R(1)", "--q", "fixed_point"]
+    for argv in ([f"--refine={width}", *tail], [*tail, f"--refine={width}"]):
+        with pytest.raises(SystemExit):  # fails fast instead of hanging in run()
+            with contextlib.redirect_stderr(io.StringIO()):
+                cli._parser().parse_args(argv)
+        rc, out, err = cap(argv)
+        assert (rc, out) == (2, ""), argv
+        assert "argument --refine" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "deg22", "--psi", "L7"],
+    ["--family", "deg22", "--psi", "R11"],
+    ["--family", "deg22", "--psi", "R0"],
+    ["--family", "lehmerA", "--psi", "R7"],
+    ["--family", "lehmerB", "--psi", "R7"],
+], ids=["L7", "R11", "R0", "lehmerA", "lehmerB"])
+def test_bad_scan_psi_exit_2_before_any_work(argv, monkeypatch):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(cli, "scan_deg22", no_work)
+    monkeypatch.setattr(cli, "scan_lehmer", no_work)
+    rc, out, err = cap(["scan", *argv])
+    assert (rc, out) == (2, "")
+    assert "--psi" in err
 
 
 def test_strict_none_exit_4():

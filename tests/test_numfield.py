@@ -12,7 +12,6 @@ from hyperk3.clusters import compute_trace_clusters, index
 from hyperk3.hyplattice import build_lattice, companion
 from hyperk3.k3class import k3_certificate
 from hyperk3.numfield import (
-    chebyshev_P,
     multiplication_matrix,
     recover_phi,
     trace_form_gram,
@@ -23,6 +22,7 @@ from hyperk3.polyring import (
     IntPoly,
     cyclotomic_trace,
     pair_from_trace,
+    pair_power,
     palindrome_class,
     palindromic_expand,
     parse_poly,
@@ -57,12 +57,12 @@ def k3_gram_row(Phi, R, count):
 
 
 def test_chebyshev_basics():
-    assert chebyshev_P(0) == IntPoly.const(2)
-    assert chebyshev_P(1) == W
-    assert chebyshev_P(2) == W * W - 2
-    assert chebyshev_P(3) == W ** 3 - 3 * W
+    assert pair_power(0) == IntPoly.const(2)
+    assert pair_power(1) == W
+    assert pair_power(2) == W * W - 2
+    assert pair_power(3) == W ** 3 - 3 * W
     for j in range(1, 12):
-        assert palindromic_expand(chebyshev_P(j)) == IntPoly.monomial(2 * j, 1) + 1
+        assert palindromic_expand(pair_power(j)) == IntPoly.monomial(2 * j, 1) + 1
 
 
 def test_unit_from_gram_reference_example():

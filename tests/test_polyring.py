@@ -27,10 +27,14 @@ from hyperk3.polyring import (
     resultant,
     resultant_relation,
     salem_trace_deg11,
+    salem_trace_mt,
+    salem_trace_nt,
     squarefree_decomposition,
     sturm_root_count,
+    trace_poly,
     trace_polynomial_pair,
 )
+from hyperk3.polyring import parse
 from hyperk3.polyring.parse import ParseError
 
 W = IntPoly.variable()
@@ -222,6 +226,126 @@ def test_trace_preserved():
         F = IntPoly([rng.randint(-4, 4) for _ in range(d)] + [1])
         f = palindromic_expand(F)
         assert f.trace() == F.trace()
+
+
+def old_trace_poly(f):
+    """Reference: the monomial peel, one (1+z^2)-power expansion per monomial."""
+    if palindrome_class(f) != "palindromic" or f.degree % 2 != 0:
+        raise ValueError("trace polynomial needs a palindromic polynomial of even degree")
+    d = f.degree // 2
+    rem = list(f.coeffs)
+    out = [0] * (d + 1)
+    for j in range(d, 0, -1):
+        c = rem[d + j]
+        if c:
+            out[j] = c
+            expanded = old_palindromic_expand(IntPoly.monomial(j, c))
+            for t, coef in enumerate(expanded.coeffs):
+                rem[t + (d - j)] -= coef
+    out[0] = rem[d]
+    rem[d] = 0
+    if any(rem):
+        raise AssertionError("palindromic peel left a nonzero residue")
+    return IntPoly(out)
+
+
+def old_palindromic_expand(F):
+    """Reference: z^d F(z+1/z) = sum a_j (z^2+1)^j z^(d-j) with IntPoly powers."""
+    if F.is_zero():
+        return F
+    d = F.degree
+    out = [0] * (2 * d + 1)
+    zsq1 = IntPoly((1, 0, 1))
+    power = IntPoly.one()
+    for j, a in enumerate(F.coeffs):
+        if a:
+            term = power * a
+            for t, c in enumerate(term.coeffs):
+                out[t + (d - j)] += c
+        power = power * zsq1
+    return IntPoly(out)
+
+
+def old_trace_polynomial_pair(phi, psi):
+    """Reference: trace_polynomial_pair's two branches over old_trace_poly."""
+    if phi.degree % 2 == 0:
+        core = phi.divexact(IntPoly((-1, 0, 1)))
+        return old_trace_poly(core) if core.degree > 0 else core, old_trace_poly(psi)
+    core = phi.divexact(IntPoly((-1, 1)))
+    return old_trace_poly(core), old_trace_poly(psi.divexact(IntPoly((1, 1))))
+
+
+def _catalog_trace_polys():
+    out = {f"CT{k}": cyclotomic_trace(k) for k in cyclotomic_indices_up_to_degree(10)}
+    out.update({f"R{i}": salem_trace_deg11(i) for i in range(1, 11)})
+    out.update({f"L{i}": lehmer_nf(i) for i in range(1, 9)})
+    out.update(LT=lehmer_trace(), MT=salem_trace_mt(), NT=salem_trace_nt())
+    return out
+
+
+def _random_coeff(rng):
+    return rng.choice([0, 0, rng.randint(-5, 5), -rng.randint(1, 10 ** 6),
+                       rng.randint(-10 ** 40, 10 ** 40)])
+
+
+def test_transform_matches_old_on_catalog():
+    polys = _catalog_trace_polys()
+    assert len(polys) == 41 + 10 + 8 + 3
+    for k in cyclotomic_indices_up_to_degree(10):
+        f = cyclotomic(k, "squared")
+        assert trace_poly(f) == old_trace_poly(f) == cyclotomic_trace(k), k
+    for name, F in polys.items():
+        f = palindromic_expand(F)
+        assert f == old_palindromic_expand(F), name
+        assert trace_poly(f) == old_trace_poly(f) == F, name
+
+
+def test_transform_matches_old_on_random_palindromes():
+    rng = random.Random(4104)
+    for n in range(45):
+        for _ in range(6):
+            half = [_random_coeff(rng) for _ in range((n - 1) // 2)]
+            lead = rng.choice([1, -1, rng.randint(2, 10 ** 30), -rng.randint(2, 10 ** 30)])
+            mid = [_random_coeff(rng)] if n % 2 == 0 and n else []
+            f = IntPoly([lead] + half + mid + half[::-1] + [lead]) if n else IntPoly([lead])
+            assert f.degree == n and palindrome_class(f) == "palindromic"
+            if n % 2:
+                for fn in (trace_poly, old_trace_poly):
+                    with pytest.raises(ValueError, match="palindromic polynomial of even degree"):
+                        fn(f)
+                continue
+            F = trace_poly(f)
+            assert F == old_trace_poly(f), f
+            assert palindromic_expand(F) == old_palindromic_expand(F) == f
+    for d in range(23):
+        F = IntPoly([_random_coeff(rng) for _ in range(d)] + [rng.choice([1, -7, 10 ** 25])])
+        assert palindromic_expand(F) == old_palindromic_expand(F), F
+
+
+@pytest.mark.parametrize("f", [IntPoly((1, 1)), cyclotomic(3) * IntPoly((1, 1)),
+                               IntPoly((3, 2, 1)), IntPoly((0, 1, 0, 1)), IntPoly()],
+                         ids=["odd", "odd-deg3", "non-palindromic", "zero-constant", "zero"])
+def test_transform_rejects_like_old(f):
+    errors = []
+    for fn in (trace_poly, old_trace_poly):
+        with pytest.raises(ValueError) as exc:
+            fn(f)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+def test_trace_pair_matches_old_both_parities():
+    rng = random.Random(5151)
+    cases = [(IntPoly((-1, 0, 1)), IntPoly((1, 1, 1)))]  # rank 2: constant core
+    for _ in range(30):
+        n_half = rng.randint(1, 11)
+        Phi = IntPoly([_random_coeff(rng) for _ in range(n_half - 1)] + [1])
+        Psi = IntPoly([_random_coeff(rng) or 1 for _ in range(n_half)] + [1])
+        cases.append(pair_from_trace(Phi, Psi, "even"))
+        cases.append(pair_from_trace(Psi, IntPoly([1] + list(Psi.coeffs[1:])), "odd"))
+    assert {phi.degree % 2 for phi, _psi in cases} == {0, 1}
+    for phi, psi in cases:
+        assert trace_polynomial_pair(phi, psi) == old_trace_polynomial_pair(phi, psi)
 
 
 # --- resultants ---------------------------------------------------------------
@@ -482,6 +606,49 @@ def test_parse_errors():
         parse_poly("z^")
     with pytest.raises(ParseError):
         parse_poly("Q(3)")
+
+
+def old_substitute_z(self, v):
+    """Reference: _Parser._substitute_z as a Laurent power series of z + 1/z."""
+    if v.var not in ("w", None) or v.offset != 0:
+        raise ParseError("@z applies to a polynomial in w")
+    out = parse._const(0)
+    zz = parse._Value("z", -1, IntPoly((1, 0, 1)))
+    power = parse._const(1)
+    for c in v.poly.coeffs:
+        if c:
+            out = parse._add(out, parse._mul(power, parse._const(c)))
+        power = parse._mul(power, zz)
+    return parse._Value("z", out.offset, out.poly)
+
+
+def _parse_outcome(text):
+    try:
+        return parse_poly(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+AT_Z_CASES = {
+    "z^11*R(1)@z": "z",
+    "R(1)@z": "ParseError: expression has negative powers of z left over",
+    "z^10*R(1)@z": "ParseError: expression has negative powers of z left over",
+    "3@z": "z",
+    "0@z": "z",
+    "(w+1)@z*z": "z",
+    "z@z": "ParseError: @z applies to a polynomial in w",
+    "(w*w)@z*z^2": "ParseError: @z applies to a polynomial in w",
+    "z^5*(LT-2)@z+L": "z",
+}
+
+
+@pytest.mark.parametrize("text", sorted(AT_Z_CASES))
+def test_at_z_matches_old_substitution(text, monkeypatch):
+    new = _parse_outcome(text)
+    expected = AT_Z_CASES[text]
+    assert (new[0] if isinstance(new, tuple) else new) == expected
+    monkeypatch.setattr(parse._Parser, "_substitute_z", old_substitute_z)
+    assert _parse_outcome(text) == new
 
 
 def test_format_round_trip():
