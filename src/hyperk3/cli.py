@@ -33,7 +33,7 @@ from .polyring import (
     parse_poly,
     trace_poly,
 )
-from .polyring.roots import AlgebraicReal, isolated_roots_shared
+from .polyring.roots import AlgebraicReal, isolate_real_roots
 from .search import list_ct_catalog, resolve_jobs, scan_deg22, scan_lehmer
 from .siegel import Q_LABELS, builtin_q, siegel_test
 
@@ -270,7 +270,7 @@ def cmd_siegel(args):
     q = builtin_q(args.q)
     width = args.refine
     verdicts = []
-    for root in isolated_roots_shared(poly):
+    for root in isolate_real_roots(poly):
         if not (-2 < root < 2):
             continue
         v = siegel_test(root, q)

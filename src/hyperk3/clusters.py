@@ -99,39 +99,44 @@ class IndexData:
 
 
 def compute_trace_clusters(Phi: IntPoly, Psi: IntPoly, rank_parity: str = "even",
-                           a_roots=None, b_roots=None) -> TraceClusters:
+                           a_roots=None) -> TraceClusters:
     """Exact interlacing decomposition of the roots of Phi * Psi on [-2, 2].
 
     Rejects pairs with a common root.  For even rank parity with no Psi root
     on [-2, 2] the cluster structure is undefined and a marker value with
-    s = None is returned.  Callers who already know the factorizations may
-    pass the isolated root lists to skip the isolation step.
+    s = None is returned.  Callers who already know the factorization of Phi
+    may pass its isolated roots to skip the isolation step.
     """
     if rank_parity not in ("even", "odd"):
         raise ValueError("rank_parity must be 'even' or 'odd'")
     if Phi.degree >= 1 and Psi.degree >= 1 and resultant(Phi, Psi) == 0:
         raise ValueError("Phi and Psi share a root; clusters are undefined")
     if a_roots is None:
-        a_roots = list(isolate_real_roots(Phi)) if Phi.degree >= 1 else []
-    if b_roots is None:
-        b_roots = list(isolate_real_roots(Psi)) if Psi.degree >= 1 else []
+        a_roots = isolate_real_roots(Phi) if Phi.degree >= 1 else []
+    at = {2: 0, -2: 0}  # multiplicities at the endpoints, Phi and Psi together
 
     def split(roots, poly):
         on, gt2, below = [], 0, 0
         for r in roots:
-            if r > 2:
+            c2 = r.compare(2)
+            if c2 > 0:
                 gt2 += r.multiplicity
-            elif r < -2:
+                continue
+            c_neg2 = r.compare(-2)
+            if c_neg2 < 0:
                 below += r.multiplicity
-            else:
-                on.append(r)
+                continue
+            on.append(r)
+            if c2 == 0:
+                at[2] += r.multiplicity
+            elif c_neg2 == 0:
+                at[-2] += r.multiplicity
         off_total = (poly.degree if poly.degree >= 0 else 0) - sum(r.multiplicity for r in on)
         return on, gt2, below, off_total
 
     a_on, a_gt2, a_lt2, a_off = split(a_roots, Phi)
-    b_on, b_gt2, b_lt2, b_off = split(b_roots, Psi)
-    mult2 = sum(r.multiplicity for r in a_on + b_on if r == 2)
-    mult_neg2 = sum(r.multiplicity for r in a_on + b_on if r == -2)
+    b_on, b_gt2, b_lt2, b_off = split(isolate_real_roots(Psi) if Psi.degree >= 1 else [], Psi)
+    mult2, mult_neg2 = at[2], at[-2]
 
     if not b_on and rank_parity == "even":
         return TraceClusters(None, (), (), a_gt2, b_gt2, a_lt2, b_lt2, a_off, b_off,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
-from .polyring import IntPoly, palindrome_class, resultant, trace_polynomial_pair
+from .polyring import IntPoly, palindrome_class, resultant, resultant_relation
 
 
 def taylor_coeffs(phi: IntPoly, psi: IntPoly, count: int) -> list[int]:
@@ -64,11 +64,14 @@ class HgLattice:
     n: int
     xi: tuple[int, ...]       # xi_1 .. xi_{n-1}; xi_0 = 2
     eta: tuple[int, ...]      # B-side sequence from phi/psi
-    disc: int
 
     @cached_property
     def gram_a(self) -> list[list[int]]:
         return _toeplitz(self.xi, self.n)
+
+    @cached_property
+    def disc(self) -> int:
+        return linalg.bareiss_det(self.gram_a)
 
     @cached_property
     def gram_b(self) -> list[list[int]]:
@@ -120,27 +123,24 @@ def build_lattice(phi: IntPoly, psi: IntPoly) -> HgLattice:
     n = phi.degree
     xi = tuple(taylor_coeffs(phi, psi, n - 1))
     eta = tuple(taylor_coeffs(psi, phi, n - 1))
-    disc = linalg.bareiss_det(_toeplitz(xi, n))
-    return HgLattice(phi, psi, n, xi, eta, disc)
+    return HgLattice(phi, psi, n, xi, eta)
 
 
 def is_unimodular(phi: IntPoly, psi: IntPoly) -> bool:
     """Unimodularity test via the trace-polynomial criterion.
 
-    Even rank: Psi(+-2) = +-1 and Res(Phi, Psi) = +-1; cross-checked against
-    |Res(phi, psi)| = 1.  Odd rank lattices are never unimodular.  Both
-    resultants come from the subresultant PRS and take about 0.3 ms together
-    at rank 22.
+    Even rank: |Res(phi, psi)| = 1, which by the resultant identity
+    Res(phi, psi) = +-Psi(2) Psi(-2) Res(Phi, Psi)^2 holds exactly when
+    Psi(+-2) = +-1 and Res(Phi, Psi) = +-1; the whole identity is checked on
+    every call.  Odd rank lattices are never unimodular.  Both resultants
+    come from the subresultant PRS and take about 0.3 ms together at rank 22.
     """
     if phi.degree % 2 == 1:
         return False
-    Phi, Psi = trace_polynomial_pair(phi, psi)
-    by_trace = (abs(Psi(2)) == 1 and abs(Psi(-2)) == 1
-                and abs(resultant(Phi, Psi) if Phi.degree >= 0 else 1) == 1)
-    by_resultant = abs(resultant(phi, psi)) == 1
-    if by_trace != by_resultant:
-        raise AssertionError("unimodularity criteria disagree; arithmetic bug")
-    return by_resultant
+    lhs, rhs = resultant_relation(phi, psi)
+    if lhs != rhs:
+        raise AssertionError("resultant identity fails; arithmetic bug")
+    return abs(lhs) == 1
 
 
 def signature_oracle(gram) -> tuple[int, int]:

@@ -340,12 +340,11 @@ def k3_certificate(phi: IntPoly, psi: IntPoly, side: str, **hints):
     return cert
 
 
-def k3_certificate_explain(phi: IntPoly, psi: IntPoly, side: str,
-                           a_roots=None, b_roots=None):
+def k3_certificate_explain(phi: IntPoly, psi: IntPoly, side: str, a_roots=None):
     """(certificate, None) on success, (None, first failed condition) otherwise.
 
-    a_roots/b_roots optionally carry pre-isolated roots of the trace
-    polynomials of (phi, psi); they are used for the untwisted attempt only.
+    a_roots optionally carries the pre-isolated roots of the trace
+    polynomial Phi of phi; it is used for the untwisted attempt only.
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
@@ -362,9 +361,7 @@ def k3_certificate_explain(phi: IntPoly, psi: IntPoly, side: str,
             break
         ph, ps = (phi, psi) if not antipode else antipode_pair(phi, psi)
         Phi, Psi = trace_polynomial_pair(ph, ps)
-        hint_a = a_roots if not antipode else None
-        hint_b = b_roots if not antipode else None
-        tc = compute_trace_clusters(Phi, Psi, "even", hint_a, hint_b)
+        tc = compute_trace_clusters(Phi, Psi, "even", a_roots if not antipode else None)
         if tc.no_clusters:
             reason = "Psi has no roots on [-2, 2]"
             continue

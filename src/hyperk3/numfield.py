@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .polyring import IntPoly, pair_power, palindrome_class, poly_gcd, trace_poly
-from .polyring.roots import AlgebraicReal, isolated_roots_shared
+from .polyring.roots import AlgebraicReal, isolate_real_roots
 
 
 def _rem_top_coeff(g: IntPoly, R: IntPoly) -> int:
@@ -104,7 +104,7 @@ def verify_unit(U: IntPoly, R: IntPoly, tau: AlgebraicReal | None = None):
     if tau is not None:
         rp = R.derivative()
         hits = []
-        for root in isolated_roots_shared(R):
+        for root in isolate_real_roots(R):
             if not (-2 < root < 2):
                 continue
             if root.sign_of(U) * root.sign_of(rp) > 0:

@@ -4,7 +4,6 @@ from .poly import (
     CYCLOTOMIC_TAG,
     OTHER_TAG,
     SALEM_TAG,
-    SALEM_TRACE_TAG,
     FactorList,
     IntPoly,
     classify_product,
@@ -29,7 +28,6 @@ from .poly import (
 from .roots import (
     AlgebraicReal,
     isolate_real_roots,
-    isolated_roots_shared,
     open_root_count,
     sturm_root_count,
 )
@@ -47,13 +45,13 @@ from .parse import ParseError, parse_poly
 
 __all__ = [
     "IntPoly", "FactorList", "AlgebraicReal", "ParseError",
-    "CYCLOTOMIC_TAG", "SALEM_TAG", "SALEM_TRACE_TAG", "OTHER_TAG",
+    "CYCLOTOMIC_TAG", "SALEM_TAG", "OTHER_TAG",
     "classify_product", "cyclotomic", "cyclotomic_indices_up_to_degree",
     "cyclotomic_trace", "euler_phi", "is_unramified", "newton_power_sum",
     "pair_from_trace", "pair_power", "palindrome_class", "palindromic_expand",
     "poly_gcd", "resultant", "resultant_relation", "squarefree_decomposition",
     "totient_degree", "trace_poly", "trace_polynomial_pair",
-    "isolate_real_roots", "isolated_roots_shared", "open_root_count",
+    "isolate_real_roots", "open_root_count",
     "sturm_root_count", "lehmer", "lehmer_nf", "lehmer_trace", "salem_deg22",
     "salem_m", "salem_trace_deg11", "salem_trace_mt", "salem_trace_nt",
     "parse_poly",

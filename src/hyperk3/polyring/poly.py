@@ -613,16 +613,16 @@ def is_unramified(p: IntPoly, variable: str = "w") -> bool:
     raise ValueError("variable must be 'z' or 'w'")
 
 
-def cyclotomic_indices_up_to_degree(max_degree: int) -> list[int]:
+def cyclotomic_indices_up_to_degree(max_degree: int) -> tuple[int, ...]:
     """All k with deg CT_k <= max_degree (k = 1, 2 plus the finite tail)."""
-    if max_degree < 1:
-        return []
-    out = [1, 2]
-    bound = 2 * (2 * max_degree) ** 2 + 4  # phi(k) > sqrt(k/2) makes the tail finite
-    for k in range(3, bound + 1):
-        if euler_phi(k) <= 2 * max_degree:
-            out.append(k)
-    return out
+    return _cyclotomic_indices(2 * max_degree) if max_degree >= 1 else ()
+
+
+@lru_cache(maxsize=32)
+def _cyclotomic_indices(totient_bound: int) -> tuple[int, ...]:
+    """1, 2 and every k >= 3 with phi(k) <= totient_bound."""
+    bound = 2 * totient_bound ** 2 + 4  # phi(k) >= sqrt(k/2) makes the tail finite
+    return (1, 2) + tuple(k for k in range(3, bound + 1) if euler_phi(k) <= totient_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +657,6 @@ def newton_power_sum(chi: IntPoly, m: int) -> int:
 
 CYCLOTOMIC_TAG = "cyclotomic"
 SALEM_TAG = "salem"
-SALEM_TRACE_TAG = "salem_trace"
 OTHER_TAG = "other"
 
 
@@ -665,7 +664,7 @@ class FactorList:
     """Factors of a monic polynomial with unit constant term, tagged by kind.
 
     factors: list of (poly, multiplicity, tag) with tag one of
-    ('cyclotomic', k) | ('salem', None) | ('salem_trace', None) | ('other', None).
+    ('cyclotomic', k) | ('salem', None) | ('other', None).
     The product of poly^multiplicity recovers the input.
     """
 
@@ -691,24 +690,19 @@ class FactorList:
         return all(tag[0] == CYCLOTOMIC_TAG for _p, _m, tag in self.factors)
 
 
-def _salem_shape(g: IntPoly, variable: str) -> bool:
+def _salem_shape(g: IntPoly) -> bool:
     """Salem test for a squarefree candidate with cyclotomic part stripped.
 
-    z picture: palindromic of even degree whose trace polynomial has all real
-    roots, exactly one of them > 2 and the rest inside [-2, 2].  Irreducibility
+    Palindromic of even degree whose trace polynomial has all real roots,
+    exactly one of them > 2 and the rest inside [-2, 2].  Irreducibility
     comes for free once every cyclotomic divisor is gone (a palindromic factor
     with all roots on the unit circle would be a product of cyclotomics).
     """
     from .roots import isolate_real_roots  # local import to avoid cycle
 
-    if variable == "z":
-        if g.degree < 4 or g.degree % 2 != 0 or palindrome_class(g) != "palindromic":
-            return False
-        t = trace_poly(g)
-    else:
-        t = g
-    if t.degree < 1:
+    if g.degree < 4 or g.degree % 2 != 0 or palindrome_class(g) != "palindromic":
         return False
+    t = trace_poly(g)
     roots = isolate_real_roots(t)
     if sum(r.multiplicity for r in roots) != t.degree:
         return False
@@ -718,20 +712,18 @@ def _salem_shape(g: IntPoly, variable: str) -> bool:
     return all(r <= 2 and r >= -2 for r in roots if r is not above[0])
 
 
-def classify_product(f: IntPoly, variable: str = "z") -> FactorList:
+def classify_product(f: IntPoly) -> FactorList:
     """Split off cyclotomic divisors and recognize a Salem remainder.
 
-    Works in the z picture by default (factors tagged with their cyclotomic
-    index; k = 1, 2 are the standard z-1 and z+1).  variable='w' classifies a
-    trace-level product into CT_k factors and Salem trace factors instead.
+    Factors are tagged with their cyclotomic index; k = 1, 2 are the
+    standard z-1 and z+1.
     """
     if not f.is_monic():
         raise ValueError("monic input required")
     factors = []
     rest = f
-    max_deg = f.degree
-    for k in cyclotomic_indices_up_to_degree(max_deg) if variable == "w" else _z_cyclo_indices(max_deg):
-        c = cyclotomic_trace(k) if variable == "w" else cyclotomic(k, "standard")
+    for k in _cyclotomic_indices(f.degree):
+        c = cyclotomic(k, "standard")
         if c.degree > rest.degree:
             continue
         mult = 0
@@ -742,18 +734,6 @@ def classify_product(f: IntPoly, variable: str = "z") -> FactorList:
             factors.append((c, mult, (CYCLOTOMIC_TAG, k)))
     if rest.degree > 0:
         for part, mult in squarefree_decomposition(rest):
-            if mult == 1 and _salem_shape(part, variable):
-                tag = (SALEM_TRACE_TAG, None) if variable == "w" else (SALEM_TAG, None)
-            else:
-                tag = (OTHER_TAG, None)
-            factors.append((part, mult, tag))
+            tag = SALEM_TAG if mult == 1 and _salem_shape(part) else OTHER_TAG
+            factors.append((part, mult, (tag, None)))
     return FactorList(factors)
-
-
-def _z_cyclo_indices(max_deg: int) -> list[int]:
-    out = [1, 2]
-    bound = 2 * max(2, max_deg) ** 2 + 4
-    for k in range(3, bound + 1):
-        if euler_phi(k) <= max_deg:
-            out.append(k)
-    return out

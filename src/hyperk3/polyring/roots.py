@@ -6,9 +6,10 @@ and refined by sign bisection.  An ``AlgebraicReal`` is a squarefree
 defining polynomial plus an open rational isolating interval; every
 comparison below is decided exactly, never numerically.
 
-The isolating interval of a value may silently shrink as comparisons refine
-it; the denoted number never changes, so instances behave as immutable
-values and may be shared freely.
+Isolation runs once per polynomial: one bounded cache keeps each
+polynomial's roots, refined to width 2^-20, and every call returns fresh
+copies of them.  A copy's isolating interval shrinks as comparisons refine
+it, so each caller owns its roots and no call sees another's refinement.
 """
 
 from __future__ import annotations
@@ -139,8 +140,17 @@ class AlgebraicReal:
             raise ValueError("interval does not isolate exactly one root")
         object.__setattr__(self, "minpoly", minpoly)
         object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_hi", hi)
+        self._narrow(lo, hi)
+
+    @classmethod
+    def _trusted(cls, minpoly: IntPoly, lo: Fraction, hi: Fraction,
+                 multiplicity: int) -> "AlgebraicReal":
+        """An instance on an interval the caller has proved isolating; no checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "minpoly", minpoly)
+        object.__setattr__(out, "multiplicity", multiplicity)
+        out._narrow(lo, hi)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("AlgebraicReal is immutable")
@@ -182,7 +192,7 @@ class AlgebraicReal:
     def refined(self, width) -> "AlgebraicReal":
         """A copy whose isolating interval is narrower than ``width``."""
         self.refine_to(width)
-        return AlgebraicReal(self.minpoly, (self._lo, self._hi), self.multiplicity)
+        return AlgebraicReal._trusted(self.minpoly, self._lo, self._hi, self.multiplicity)
 
     def approx(self, width=Fraction(1, 10 ** 12)) -> Fraction:
         self.refine_to(width)
@@ -274,7 +284,7 @@ class AlgebraicReal:
             lo, hi = self._lo, self._hi
             if (open_root_count(sf, lo, hi) == 1
                     and sf.sign_at(lo) != 0 and sf.sign_at(hi) != 0):
-                return AlgebraicReal(sf, (lo, hi), self.multiplicity)
+                return AlgebraicReal._trusted(sf, lo, hi, self.multiplicity)
             self._bisect_once()
         raise ArithmeticError("failed to isolate within the target polynomial")
 
@@ -308,19 +318,40 @@ class AlgebraicReal:
         return f"AlgebraicReal({self.minpoly.format('x')}, ({lo:.6g}, {hi:.6g}), mult={self.multiplicity})"
 
 
+# Cached roots are refined once to this width.  It is coarser than the CLI's
+# default display width 1/10^8, so displayed intervals are the ones the
+# bisection would reach from the isolating interval anyway; and it is narrow
+# enough that comparisons between cached catalog roots seldom bisect again.
+_CACHE_WIDTH = Fraction(1, 2 ** 20)
+
+
 def isolate_real_roots(f: IntPoly) -> list[AlgebraicReal]:
     """All distinct real roots of f, sorted increasing, with multiplicities.
 
     Multiplicities come from the squarefree (Yun) decomposition; isolating
-    intervals are pairwise disjoint across the whole list.
+    intervals are pairwise disjoint across the whole list.  The roots are
+    new objects on every call, so the caller may refine them freely.
     """
     if f.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     if f.degree < 1:
         return []
+    return [AlgebraicReal._trusted(r.minpoly, r._lo, r._hi, r.multiplicity)
+            for r in _isolation_cache(f.coeffs)]
+
+
+@lru_cache(maxsize=128)
+def _isolation_cache(coeffs: tuple) -> tuple:
     roots: list[AlgebraicReal] = []
-    for part, mult in squarefree_decomposition(f):
+    for part, mult in squarefree_decomposition(IntPoly(coeffs)):
         roots.extend(_isolate_squarefree(part, mult))
+    for r in _sorted_disjoint(roots):
+        r.refine_to(_CACHE_WIDTH)
+    return tuple(roots)
+
+
+def _sorted_disjoint(roots: list[AlgebraicReal]) -> list[AlgebraicReal]:
+    """Sort roots increasing in place and bisect until neighbours' intervals are disjoint."""
     roots.sort(key=cmp_to_key(lambda a, b: a.compare(b)))
     for a, b in zip(roots, roots[1:]):
         while not a._hi <= b._lo:
@@ -345,7 +376,8 @@ def _isolate_squarefree(f: IntPoly, mult: int) -> list[AlgebraicReal]:
         if n == 0:
             continue
         if n == 1:
-            out.append(AlgebraicReal(f, (a, c), mult))
+            # endpoints come from _nonroot_near, so (a, c) isolates one root
+            out.append(AlgebraicReal._trusted(f, a, c, mult))
             continue
         mid = _nonroot_near(f, (a + c) / 2)
         if not a < mid < c:
@@ -356,41 +388,14 @@ def _isolate_squarefree(f: IntPoly, mult: int) -> list[AlgebraicReal]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _isolation_cache(coeffs: tuple) -> tuple:
-    return tuple(isolate_real_roots(IntPoly(coeffs)))
-
-
-def isolated_roots_shared(f: IntPoly) -> tuple:
-    """Cached isolation; callers share the returned values (treat as immutable)."""
-    return _isolation_cache(f.coeffs)
-
-
-def copy_with_multiplicity(root: AlgebraicReal, multiplicity: int) -> AlgebraicReal:
-    """A trusted copy of an isolated root carrying a different multiplicity."""
-    out = object.__new__(AlgebraicReal)
-    object.__setattr__(out, "minpoly", root.minpoly)
-    object.__setattr__(out, "multiplicity", multiplicity)
-    object.__setattr__(out, "_lo", root._lo)
-    object.__setattr__(out, "_hi", root._hi)
-    return out
-
-
 def isolate_with_known_factors(factors) -> list[AlgebraicReal]:
     """Real roots of a product given as [(irreducible factor, multiplicity)].
 
-    Uses the shared per-factor isolation cache, so repeated products over a
-    common factor pool (cyclotomic-trace searches) avoid re-running Sturm.
+    Reads the per-factor isolation cache, so repeated products over a common
+    factor pool (cyclotomic-trace searches) avoid re-running Sturm.  Every
+    root is a new object.
     """
-    roots: list[AlgebraicReal] = []
-    for poly, mult in factors:
-        if poly.degree < 1:
-            continue
-        for r in _isolation_cache(poly.coeffs):
-            roots.append(copy_with_multiplicity(r, mult) if mult != 1 else r)
-    roots.sort(key=cmp_to_key(lambda a, b: a.compare(b)))
-    for a, b in zip(roots, roots[1:]):
-        while not a._hi <= b._lo:
-            a._bisect_once()
-            b._bisect_once()
-    return roots
+    roots = [AlgebraicReal._trusted(r.minpoly, r._lo, r._hi, mult)
+             for poly, mult in factors if poly.degree >= 1
+             for r in _isolation_cache(poly.coeffs)]
+    return _sorted_disjoint(roots)

@@ -22,7 +22,7 @@ from .polyring import (
     IntPoly,
     cyclotomic,
     cyclotomic_trace,
-    isolated_roots_shared,
+    isolate_real_roots,
     lehmer,
     lehmer_trace,
     palindromic_expand,
@@ -91,7 +91,7 @@ def _sign_q_minus(tau: AlgebraicReal, q: QFunction, c: int) -> int:
 
 def _is_salem_trace_shape(p: IntPoly) -> bool:
     """Squarefree with all roots real, exactly one above 2, the rest in (-2, 2)."""
-    roots = isolated_roots_shared(p)
+    roots = isolate_real_roots(p)
     if sum(r.multiplicity for r in roots) != p.degree:
         return False
     if any(r.multiplicity != 1 for r in roots):
@@ -123,7 +123,7 @@ def siegel_test(tau: AlgebraicReal, q: QFunction) -> SiegelVerdict:
     if s0 < 0:
         # q(tau) < 0 falls outside the criterion's hypotheses
         return SiegelVerdict("indeterminate", tau, None)
-    for conj in isolated_roots_shared(minimal):
+    for conj in isolate_real_roots(minimal):
         if conj == tau or not (-2 < conj < 2):
             continue
         if conj.sign_of(q.denominator) != 0 and _sign_q_minus(conj, q, 4) > 0:
@@ -149,7 +149,7 @@ def threshold_classify_deg22(tau: AlgebraicReal) -> str:
         return "indeterminate"
     if tau > TAU0:
         witness = any(conj < TAU0 and -2 < conj
-                      for conj in isolated_roots_shared(minimal) if not conj == tau)
+                      for conj in isolate_real_roots(minimal) if not conj == tau)
         out = "S" if witness else "indeterminate"
     else:
         out = "H"

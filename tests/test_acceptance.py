@@ -36,7 +36,6 @@ from hyperk3.polyring import (
     salem_deg22,
     salem_trace_deg11,
 )
-from hyperk3.polyring.roots import isolated_roots_shared
 from hyperk3.search import ct_catalog, list_ct_catalog
 from hyperk3.siegel import TAU0, _sign_q_minus, builtin_q, verify_D_identity
 
@@ -222,7 +221,7 @@ def test_criterion_08_numeric_anchors(roots_fixture):
         _assert_printed(r, s)
     _assert_printed([r for r in lt_roots if r > 2][0], "2.02642")
     for i in range(1, 11):
-        ys = [r for r in isolated_roots_shared(salem_trace_deg11(i)) if -2 < r < 2]
+        ys = [r for r in isolate_real_roots(salem_trace_deg11(i)) if -2 < r < 2]
         ys = list(reversed(ys))
         for j, r in enumerate(ys, start=1):
             slack = 2 if (f"R{i}", f"y{j}") in _MISPRINTED else 1

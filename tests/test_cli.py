@@ -204,6 +204,20 @@ def _first_call(argv):
     return proc.returncode, proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["siegel", "--tau-from", "R(1)", "--q", "fixed_point"],
+    ["certify", "--phi", "LT*CT(4)*CT(20)", "--psi", "R(1)", "--side", "A"],
+], ids=["siegel", "certify"])
+def test_output_independent_of_earlier_refine(argv):
+    """A finer --refine in an earlier call does not narrow a later call's intervals."""
+    first = cap(argv)
+    fine = cap(argv + ["--refine", "1/1" + "0" * 30])
+    again = cap(argv)
+    assert first[0] == fine[0] == again[0] == 0
+    assert fine[1] != first[1]
+    assert again == first
+
+
 def test_parser_reuse_keeps_defaults():
     """A reused parser carries no flag from one call into the next."""
     cli._parser.cache_clear()

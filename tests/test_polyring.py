@@ -531,6 +531,86 @@ def test_algebraic_real_rational_root():
     assert r < 3 and r > 2
 
 
+def test_isolation_returns_private_copies():
+    """Refining a returned root reaches neither the cache nor a later call's roots."""
+    from hyperk3.polyring.roots import isolate_with_known_factors
+
+    R = salem_trace_deg11(1)
+    first = isolate_real_roots(R)
+    before = [r.interval for r in first]
+    for r in first:
+        r.refine_to(Fraction(1, 10 ** 40))
+    again = isolate_real_roots(R)
+    assert all(a is not b for a, b in zip(first, again))
+    assert [r.interval for r in again] == before
+    merged = isolate_with_known_factors([(R, 1)])
+    assert [r.interval for r in merged] == before
+    assert all(a is not b for a, b in zip(again, merged))
+
+
+def _old_isolate_real_roots(f):
+    """Uncached isolation as before the isolation cache (reference only).
+
+    Every root goes through the validating constructor.
+    """
+    from hyperk3.polyring import roots as R
+
+    out = []
+    for part, mult in squarefree_decomposition(f):
+        if part.degree < 1:
+            continue
+        chain = R._sturm_chain(part)
+        b = R.root_bound(part)
+        lo, hi = R._nonroot_near(part, Fraction(-b)), R._nonroot_near(part, Fraction(b))
+        stack = [(lo, hi, R._variations(chain, lo), R._variations(chain, hi))]
+        while stack:
+            a, c, va, vc = stack.pop()
+            if va - vc == 1:
+                out.append(AlgebraicReal(part, (a, c), mult))
+            elif va - vc > 1:
+                mid = R._nonroot_near(part, (a + c) / 2)
+                vm = R._variations(chain, mid)
+                stack += [(a, mid, va, vm), (mid, c, vm, vc)]
+    out.sort(key=lambda r: r.approx(Fraction(1, 10 ** 30)))
+    return out
+
+
+def _assert_isolation_matches_old(f):
+    old, new = _old_isolate_real_roots(f), isolate_real_roots(f)
+    assert len(new) == len(old), f
+    assert [(r.minpoly, r.multiplicity) for r in new] == \
+        [(r.minpoly, r.multiplicity) for r in old], f
+    for i, a in enumerate(new):
+        lo, hi = a.interval
+        assert hi - lo < Fraction(1, 2 ** 20)
+        AlgebraicReal(a.minpoly, (lo, hi))  # the trusted interval passes the checks
+        assert [a == b for b in old] == [j == i for j in range(len(old))], f
+    for a, b in zip(new, new[1:]):
+        assert a.interval[1] <= b.interval[0]
+
+
+def test_isolation_matches_old_on_catalog():
+    polys = [cyclotomic_trace(k) for k in cyclotomic_indices_up_to_degree(10)]
+    polys += [salem_trace_deg11(i) for i in range(1, 11)]
+    polys += [lehmer_nf(i) for i in range(1, 9)]
+    polys += [lehmer_trace(), salem_trace_mt(), salem_trace_nt()]
+    polys += [cyclotomic_trace(1) ** 3 * cyclotomic_trace(3) * cyclotomic_trace(16),
+              cyclotomic_trace(4) ** 2 * lehmer_trace() * salem_trace_deg11(2)]
+    for f in polys:
+        _assert_isolation_matches_old(f)
+
+
+def test_isolation_matches_old_on_random():
+    rng = random.Random(2020)
+    for _ in range(60):
+        f = IntPoly.one()
+        for _k in range(rng.randint(1, 3)):
+            g = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 5))] + [rng.choice([1, 1, 2, -3])])
+            f = f * g ** rng.randint(1, 3)
+        if f.degree >= 1:
+            _assert_isolation_matches_old(f)
+
+
 # --- Newton sums and classification --------------------------------------------
 
 def test_newton_power_sums():
@@ -557,7 +637,7 @@ def test_classify_product_examples():
     assert fl.product() == f
 
     assert classify_product(IntPoly((1, 1, 1))).cyclotomic_part() == [(3, 1)]
-    fl3 = classify_product(IntPoly((-3, 0, 1)), "z")  # z^2 - 3: roots off circle
+    fl3 = classify_product(IntPoly((-3, 0, 1)))  # z^2 - 3: roots off circle
     assert fl3.other_factors() and not fl3.salem_factors()
     assert not fl3.cyclotomic_part()
 
@@ -572,6 +652,38 @@ def test_classify_random_reassembly():
         fl = classify_product(f)
         assert fl.product() == f
         assert fl.all_cyclotomic()
+
+
+def _old_z_cyclo_indices(max_deg):
+    """classify_product's index list before the shared helper (reference only)."""
+    out = [1, 2]
+    bound = 2 * max(2, max_deg) ** 2 + 4
+    for k in range(3, bound + 1):
+        if euler_phi(k) <= max_deg:
+            out.append(k)
+    return out
+
+
+def _old_indices_up_to_degree(max_degree):
+    """cyclotomic_indices_up_to_degree before the shared helper (reference only)."""
+    if max_degree < 1:
+        return []
+    out = [1, 2]
+    bound = 2 * (2 * max_degree) ** 2 + 4
+    for k in range(3, bound + 1):
+        if euler_phi(k) <= 2 * max_degree:
+            out.append(k)
+    return out
+
+
+def test_cyclotomic_index_helper_matches_old_formulas():
+    from hyperk3.polyring.poly import _cyclotomic_indices
+
+    for bound in range(45):
+        assert list(_cyclotomic_indices(bound)) == _old_z_cyclo_indices(bound), bound
+        if bound % 2 == 0:
+            m = bound // 2
+            assert list(cyclotomic_indices_up_to_degree(m)) == _old_indices_up_to_degree(m), m
 
 
 # --- parser -------------------------------------------------------------------
@@ -664,5 +776,5 @@ def test_per_query_caches_are_bounded():
     from hyperk3.polyring import poly, roots
 
     for cached in (poly.resultant, poly.trace_polynomial_pair, roots._sf_chain,
-                   roots._SF_CACHE, roots._gcd_cached):
+                   roots._SF_CACHE, roots._gcd_cached, roots._isolation_cache):
         assert cached.cache_info().maxsize is not None, cached.__name__
