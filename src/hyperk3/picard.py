@@ -7,6 +7,11 @@ spanned by the standard basis s, Fs, ..., F^(rho-1) s with s = chi0(F) r;
 its intersection form is negative definite in the non-projective case and is
 flipped positive definite here.
 
+The (-2)-roots are found on an LLL-reduced basis of that Gram (integral LLL,
+then a Fincke-Pohst search in integers) and mapped back, so positivity, the
+lexicographic order and the positive-root indices all refer to the standard
+basis.
+
 The chamber transport is the greedy reflection ascent: starting from
 d = F(weyl vector), repeatedly apply the Picard-Lefschetz reflection that
 maximally increases the pairing with the Weyl vector; the product of the
@@ -15,6 +20,7 @@ applied reflections is the unique Weyl element w_F with w_F(F(K)) = K.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,75 +100,113 @@ def picard_from_certificate(cert: K3Certificate) -> PicardLattice:
 # ---------------------------------------------------------------------------
 
 
-def _completed_squares(gram):
-    """G = U D U^T with U upper unitriangular: Q = sum d_j (t_j - p_j)^2.
+def _lll_gram(gram):
+    """Integral LLL reduction of a positive definite Gram matrix, delta = 3/4.
 
-    Returns (d, U) over Fractions; positive definiteness makes every d_j > 0.
+    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.6.7,
+    run on inner products only.  Returns (reduced, basis, d, lam): row i of
+    basis is the i-th reduced vector in the input coordinates and reduced is
+    the Gram matrix of those rows; d[i] is the determinant of the leading
+    i x i block of reduced (d[0] = 1) and lam[k][j] = d[j+1] * mu_kj, j < k,
+    are the integral Gram-Schmidt coefficients.  Raises ValueError as soon
+    as a leading minor is not positive.
     """
     n = len(gram)
-    rev = [[Fraction(gram[n - 1 - i][n - 1 - j]) for j in range(n)] for i in range(n)]
-    low = [[Fraction(0)] * n for _ in range(n)]
-    d = [Fraction(0)] * n
-    for k in range(n):
-        acc = rev[k][k] - sum(low[k][m] ** 2 * d[m] for m in range(k))
-        if acc <= 0:
-            raise ValueError("quadratic form is not positive definite")
-        d[k] = acc
-        low[k][k] = Fraction(1)
-        for i in range(k + 1, n):
-            low[i][k] = (rev[i][k] - sum(low[i][m] * low[k][m] * d[m] for m in range(k))) / d[k]
-    u = [[low[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-    dd = d[::-1]
-    return dd, u
+    g = [list(row) for row in gram]
+    basis = linalg.identity(n)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def size_reduce(k, l):  # b_k -= round(mu_kl) b_l
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        basis[k] = [a - q * b for a, b in zip(basis[k], basis[l])]
+        g[k] = [a - q * b for a, b in zip(g[k], g[l])]
+        for row in g:
+            row[k] -= q * row[l]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k):  # exchange b_(k-1) and b_k
+        basis[k - 1], basis[k] = basis[k], basis[k - 1]
+        g[k - 1], g[k] = g[k], g[k - 1]
+        for row in g:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        lk = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    k, kmax = 0, -1
+    while k < n:
+        if k > kmax:  # Gram-Schmidt data of the not yet seen b_k
+            kmax = k
+            for j in range(k + 1):
+                u = g[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise ValueError("quadratic form is not positive definite")
+                else:
+                    d[k + 1] = u
+        if k:
+            size_reduce(k, k - 1)
+            if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+                swap(k)
+                k = max(1, k - 1)
+                continue
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+        k += 1
+    return g, basis, d, lam
 
 
 def enumerate_root_system(gram_pos) -> list[tuple[int, ...]]:
-    """All integer vectors with Q(t) = 2, in lexicographic DFS order.
+    """All integer vectors with Q(t) = 2, sorted lexicographically.
 
-    Depth-first walk of the completed-square forest, children explored in
-    increasing coordinate; asserts that the even form never takes value 1.
+    LLL-reduces the Gram, then runs a Fincke-Pohst search on the reduced
+    form: in reduced coordinates x, Q = sum_i a_i^2 / (d[i] d[i+1]) with the
+    integers a_i = d[i+1] x_i + sum_(j>i) lam[j][i] x_j, so scaling by
+    L = lcm(d[i] d[i+1]) turns every bound into an isqrt.  The roots are
+    mapped back to the input basis before sorting.  Raises ValueError on a
+    form that is not positive definite, and AssertionError if the form
+    takes the value 1 (it must be even).
     """
     rho = len(gram_pos)
-    if rho == 0:
-        return []
-    d, u = _completed_squares(gram_pos)
-    budget = Fraction(2)
-    roots: list[tuple[int, ...]] = []
-    t = [0] * rho
+    _reduced, basis, d, lam = _lll_gram(gram_pos)
+    scale = math.lcm(*(d[i] * d[i + 1] for i in range(rho)))
+    weight = [scale // (d[i] * d[i + 1]) for i in range(rho)]
+    x = [0] * rho
+    found = []
 
-    def p_of(j):  # p_j depends on t_0 .. t_(j-1)
-        return -sum(u[i][j] * t[i] for i in range(j))
-
-    def walk(j, used):
-        if j == rho:
-            total = used
-            if total == 2:
-                roots.append(tuple(t))
-            elif total == 1:
+    def walk(i, rem):  # rem = scale * (2 - Q restricted to levels above i)
+        if i < 0:
+            if rem == 0:
+                found.append(x[:])
+            elif rem == scale:
                 raise AssertionError("even lattice attained Q = 1")
             return
-        rem = budget - used
-        pj = p_of(j)
-        lo = _floor_f(pj)
-        # scan down from floor(p_j), then up from floor(p_j)+1
-        for start, step in ((lo, -1), (lo + 1, 1)):
-            v = start
-            while True:
-                cost = d[j] * (v - pj) ** 2
-                if cost > rem:
-                    break
-                t[j] = v
-                walk(j + 1, used + cost)
-                v += step
-            t[j] = 0
+        s = sum(lam[j][i] * x[j] for j in range(i + 1, rho))
+        r = math.isqrt(rem // weight[i])  # |a_i| <= r
+        di = d[i + 1]
+        for v in range(-((r + s) // di), (r - s) // di + 1):
+            a = di * v + s
+            x[i] = v
+            walk(i - 1, rem - weight[i] * a * a)
+        x[i] = 0
 
-    walk(0, Fraction(0))
-    roots.sort()
-    return roots
-
-
-def _floor_f(x: Fraction) -> int:
-    return x.numerator // x.denominator
+    walk(rho - 1, 2 * scale)
+    to_input = linalg.transpose(basis)
+    return sorted(tuple(linalg.mat_vec(to_input, root)) for root in found)
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,19 @@ def test_bringback_pretty_and_json():
     assert rc == 0 and "E6 + E6" in out
 
 
+def test_bringback_l8_row():
+    """The min_b.tsv row L8 1 2,2,2,7,16, whose raw Picard basis is the most skewed."""
+    from hyperk3.polyring import parse_poly
+
+    rc, out, _ = cap(["bringback", "--phi", "CT(2)^3*CT(7)*CT(16)", "--psi", "LNF(8)",
+                      "--side", "B"])
+    assert rc == 0
+    res = json.loads(out)["result"]
+    assert res["roots"] == 252 and res["dynkin"] == ["E8", "A2", "A2"]
+    assert res["chi1_tilde"] == parse_poly("(z-1)^9*(z+1)*(z^2+1)")[1].format("z")
+    assert res["trace"] == 7
+
+
 def test_scan_tsv_row_layout():
     rc, out, _ = cap(["scan", "--family", "deg22", "--psi", "R4", "--format", "tsv"])
     assert rc == 0

@@ -1,13 +1,17 @@
 """Root enumeration, Dynkin recognition and the chamber transport."""
 
+import functools
 import itertools
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hyperk3 import linalg
 from hyperk3.k3class import k3_certificate
 from hyperk3.picard import (
+    _lll_gram,
     bring_back,
     dynkin_action,
     dynkin_classify,
@@ -29,6 +33,7 @@ from hyperk3.polyring import (
     pair_from_trace,
     salem_trace_deg11,
 )
+from hyperk3.search import ct_product
 
 CT = cyclotomic_trace
 
@@ -53,6 +58,14 @@ A2 = [[2, -1], [-1, 2]]
 A1A1 = [[2, 0], [0, 2]]
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+E8 = [[2, 0, -1, 0, 0, 0, 0, 0],
+      [0, 2, 0, -1, 0, 0, 0, 0],
+      [-1, 0, 2, -1, 0, 0, 0, 0],
+      [0, -1, -1, 2, -1, 0, 0, 0],
+      [0, 0, 0, -1, 2, -1, 0, 0],
+      [0, 0, 0, 0, -1, 2, -1, 0],
+      [0, 0, 0, 0, 0, -1, 2, -1],
+      [0, 0, 0, 0, 0, 0, -1, 2]]
 
 
 @pytest.mark.parametrize("gram,expected", [(A2, 6), (A1A1, 4), (A3, 12), (D4, 24)])
@@ -73,6 +86,226 @@ def test_enumeration_random_definite_grams():
             if linalg.is_positive_definite(g):
                 break
         assert enumerate_root_system(g) == brute_force_roots(g, 6)
+
+
+# ---------------------------------------------------------------------------
+# the LLL + integer Fincke-Pohst enumerator against the completed-squares search
+# ---------------------------------------------------------------------------
+
+
+def _completed_squares(gram):
+    """G = U D U^T over Fractions with U upper unitriangular: Q = sum d_j (t_j - p_j)^2."""
+    n = len(gram)
+    rev = [[Fraction(gram[n - 1 - i][n - 1 - j]) for j in range(n)] for i in range(n)]
+    low = [[Fraction(0)] * n for _ in range(n)]
+    d = [Fraction(0)] * n
+    for k in range(n):
+        acc = rev[k][k] - sum(low[k][m] ** 2 * d[m] for m in range(k))
+        if acc <= 0:
+            raise ValueError("quadratic form is not positive definite")
+        d[k] = acc
+        low[k][k] = Fraction(1)
+        for i in range(k + 1, n):
+            low[i][k] = (rev[i][k] - sum(low[i][m] * low[k][m] * d[m] for m in range(k))) / d[k]
+    u = [[low[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
+    return d[::-1], u
+
+
+def completed_squares_roots(gram_pos):
+    """Reference enumerator: a Fraction completed-squares search on the unreduced basis.
+
+    This was the package's enumerator before the LLL reduction; it is kept
+    here to compare against.
+    """
+    rho = len(gram_pos)
+    if rho == 0:
+        return []
+    d, u = _completed_squares(gram_pos)
+    roots = []
+    t = [0] * rho
+
+    def walk(j, used):
+        if j == rho:
+            if used == 2:
+                roots.append(tuple(t))
+            elif used == 1:
+                raise AssertionError("even lattice attained Q = 1")
+            return
+        rem = 2 - used
+        pj = -sum(u[i][j] * t[i] for i in range(j))
+        lo = pj.numerator // pj.denominator
+        for start, step in ((lo, -1), (lo + 1, 1)):
+            v = start
+            while True:
+                cost = d[j] * (v - pj) ** 2
+                if cost > rem:
+                    break
+                t[j] = v
+                walk(j + 1, used + cost)
+                v += step
+            t[j] = 0
+
+    walk(0, Fraction(0))
+    roots.sort()
+    return roots
+
+
+def _lehmer_rows():
+    """(label, side, index, sorted k multiset) of the 39 rows of min_a.tsv and min_b.tsv."""
+    data = Path(__file__).parent / "data"
+    rows = []
+    for name, side in (("min_a.tsv", "A"), ("min_b.tsv", "B")):
+        for line in (data / name).read_text().splitlines():
+            if line.strip():
+                r = line.split("\t")
+                ks = r[1] if side == "A" else r[2]
+                rows.append((r[0], side, int(r[0][1:]),
+                             tuple(sorted(int(k) for k in ks.split(",")))))
+    return rows
+
+
+LEHMER_ROWS = _lehmer_rows()
+
+
+def _row_id(row):
+    return f"{row[0]}:{','.join(map(str, row[3]))}"
+
+
+# Rows on which the completed-squares search takes over a second: the
+# differential test leaves them out, and the change-of-basis test covers such
+# skewed Grams.
+SLOW_FOR_REFERENCE = {"R4:4,20", "R10:3,15", "R10:4,24", "L3:2,3,7,11",
+                      "L6:2,2,8,13", "L7:2,2,17", "L8:1,1,1,7,16", "L8:1,1,2,7,16",
+                      "L8:1,2,2,7,16", "L8:2,2,2,7,16"}
+ROW_BY_ID = {_row_id(r): r for r in LEHMER_ROWS}
+REFERENCE_ROWS = [r for r in LEHMER_ROWS if _row_id(r) not in SLOW_FOR_REFERENCE]
+
+
+@functools.lru_cache(maxsize=None)
+def lehmer_gram(row):
+    _label, side, i, ks = row
+    if side == "A":
+        phi, psi = pair_from_trace(lehmer_trace() * ct_product(ks), salem_trace_deg11(i), "even")
+    else:
+        phi, psi = pair_from_trace(ct_product(ks), lehmer_nf(i), "even")
+    return picard_from_certificate(k3_certificate(phi, psi, side)).gram_pos
+
+
+def test_lehmer_row_split():
+    assert len(LEHMER_ROWS) == 39 and len(REFERENCE_ROWS) == 29
+    assert len(ROW_BY_ID) == 39 and SLOW_FOR_REFERENCE <= set(ROW_BY_ID)
+
+
+@pytest.mark.parametrize("row", REFERENCE_ROWS, ids=_row_id)
+def test_enumeration_matches_completed_squares(row):
+    """Same root list as the completed-squares search on 29 of the 39 Lehmer Grams.
+
+    Left out, because the reference search takes over a second there (up to
+    about 6 minutes on L8 {2,2,2,7,16}): R4 {4,20}, R10 {3,15}, R10 {4,24},
+    L3 {2,3,7,11}, L6 {2,2,8,13}, L7 {2,2,17} and L8 {1,1,1,7,16},
+    {1,1,2,7,16}, {1,2,2,7,16}, {2,2,2,7,16}.
+    """
+    gram = lehmer_gram(row)
+    assert enumerate_root_system(gram) == completed_squares_roots(gram)
+
+
+def random_unimodular(rng, n, steps):
+    """A product of random shears, swaps and sign flips, and its exact inverse."""
+    u = linalg.identity(n)
+    for _ in range(steps):
+        a, b = rng.sample(range(n), 2)
+        kind = rng.random()
+        if kind < 0.8:
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            for row in u:
+                row[a] += c * row[b]
+        elif kind < 0.9:
+            for row in u:
+                row[a], row[b] = row[b], row[a]
+        else:
+            for row in u:
+                row[a] = -row[a]
+    inv = linalg.mat_inverse(u)
+    assert all(x.denominator == 1 for row in inv for x in row)
+    return u, [[int(x) for x in row] for row in inv]
+
+
+def congruent(gram, u):
+    return linalg.mat_mul(linalg.mat_mul(linalg.transpose(u), gram), u)
+
+
+SMALL_GRAMS = {"A2": A2, "D4": D4, "E8": E8}
+
+
+@pytest.mark.parametrize("case", list(SMALL_GRAMS) + [_row_id(r) for r in REFERENCE_ROWS[::7]])
+def test_enumeration_under_change_of_basis(case):
+    """Roots of U^T G U are U^-1 applied to the roots of G, re-sorted.
+
+    The random shears skew the basis far more than the Lehmer Grams are
+    skewed, so enumerate_root_system is checked on such forms against the
+    completed-squares search on the unskewed G.
+    """
+    gram = SMALL_GRAMS.get(case) or lehmer_gram(ROW_BY_ID[case])
+    rng = random.Random(case)
+    want = completed_squares_roots(gram)
+    for _ in range(3):
+        u, u_inv = random_unimodular(rng, len(gram), 6 * len(gram))
+        skewed = congruent(gram, u)
+        expect = sorted(tuple(linalg.mat_vec(u_inv, list(r))) for r in want)
+        assert enumerate_root_system(skewed) == expect
+
+
+def _random_definite_grams(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 9)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n + rng.randint(0, 2))]
+        g = linalg.mat_mul(linalg.transpose(m), m)
+        if linalg.is_positive_definite(g):
+            out.append(g)
+    return out
+
+
+def _assert_lll_reduced(gram):
+    reduced, basis, d, lam = _lll_gram(gram)
+    n = len(gram)
+    t = linalg.transpose(basis)
+    assert congruent(gram, t) == reduced
+    assert linalg.bareiss_det(t) in (1, -1)
+    assert d[0] == 1
+    for i in range(1, n + 1):
+        assert d[i] == linalg.bareiss_det([row[:i] for row in reduced[:i]])
+    for k in range(n):
+        for j in range(k):
+            assert 2 * abs(lam[k][j]) <= d[j + 1]  # size reduction
+    for k in range(1, n):
+        assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2  # Lovasz
+
+
+@pytest.mark.parametrize("row", LEHMER_ROWS, ids=_row_id)
+def test_lll_reduces_lehmer_grams(row):
+    _assert_lll_reduced(lehmer_gram(row))
+
+
+def test_lll_reduces_random_grams():
+    for gram in _random_definite_grams(23, 40):
+        _assert_lll_reduced(gram)
+    rng = random.Random(29)
+    for gram in (D4, E8):
+        u, _ = random_unimodular(rng, len(gram), 40)
+        _assert_lll_reduced(congruent(gram, u))
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_root_system, completed_squares_roots],
+                         ids=["lll", "completed_squares"])
+def test_enumeration_error_paths(enumerate_):
+    for gram in ([[2, 3], [3, 2]], [[2, 2], [2, 2]], [[0]], [[-2]]):
+        with pytest.raises(ValueError, match="quadratic form is not positive definite"):
+            enumerate_(gram)
+    with pytest.raises(AssertionError, match="even lattice attained Q = 1"):
+        enumerate_([[1, 0], [0, 2]])
+    assert enumerate_([]) == []
 
 
 def test_positive_and_simple_roots_a2():
