@@ -98,21 +98,18 @@ class IndexData:
     sigma: tuple[int, ...]
 
 
-def compute_trace_clusters(Phi: IntPoly, Psi: IntPoly, rank_parity: str = "even",
-                           a_roots=None) -> TraceClusters:
+def compute_trace_clusters(Phi: IntPoly, Psi: IntPoly, rank_parity: str = "even") -> TraceClusters:
     """Exact interlacing decomposition of the roots of Phi * Psi on [-2, 2].
 
     Rejects pairs with a common root.  For even rank parity with no Psi root
     on [-2, 2] the cluster structure is undefined and a marker value with
-    s = None is returned.  Callers who already know the factorization of Phi
-    may pass its isolated roots to skip the isolation step.
+    s = None is returned.  The roots of both come from
+    ``isolate_real_roots``, whose cache splits off catalog factors.
     """
     if rank_parity not in ("even", "odd"):
         raise ValueError("rank_parity must be 'even' or 'odd'")
     if Phi.degree >= 1 and Psi.degree >= 1 and resultant(Phi, Psi) == 0:
         raise ValueError("Phi and Psi share a root; clusters are undefined")
-    if a_roots is None:
-        a_roots = isolate_real_roots(Phi) if Phi.degree >= 1 else []
     at = {2: 0, -2: 0}  # multiplicities at the endpoints, Phi and Psi together
 
     def split(roots, poly):
@@ -134,7 +131,7 @@ def compute_trace_clusters(Phi: IntPoly, Psi: IntPoly, rank_parity: str = "even"
         off_total = (poly.degree if poly.degree >= 0 else 0) - sum(r.multiplicity for r in on)
         return on, gt2, below, off_total
 
-    a_on, a_gt2, a_lt2, a_off = split(a_roots, Phi)
+    a_on, a_gt2, a_lt2, a_off = split(isolate_real_roots(Phi) if Phi.degree >= 1 else [], Phi)
     b_on, b_gt2, b_lt2, b_off = split(isolate_real_roots(Psi) if Psi.degree >= 1 else [], Psi)
     mult2, mult_neg2 = at[2], at[-2]
 

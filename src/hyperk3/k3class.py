@@ -320,8 +320,7 @@ def antipode_pair(phi: IntPoly, psi: IntPoly) -> tuple[IntPoly, IntPoly]:
 
 
 def _all_roots_simple(f: IntPoly) -> bool:
-    dec = squarefree_decomposition(f)
-    return all(m == 1 for _p, m in dec)
+    return all(m == 1 for _p, m in squarefree_decomposition(f))
 
 
 def _phi_multiple_root_ok(Phi: IntPoly) -> bool:
@@ -335,16 +334,16 @@ def _phi_multiple_root_ok(Phi: IntPoly) -> bool:
     return p.degree == 1 and 2 <= m <= 3
 
 
-def k3_certificate(phi: IntPoly, psi: IntPoly, side: str, **hints):
-    cert, _reason = k3_certificate_explain(phi, psi, side, **hints)
+def k3_certificate(phi: IntPoly, psi: IntPoly, side: str):
+    cert, _reason = k3_certificate_explain(phi, psi, side)
     return cert
 
 
-def k3_certificate_explain(phi: IntPoly, psi: IntPoly, side: str, a_roots=None):
+def k3_certificate_explain(phi: IntPoly, psi: IntPoly, side: str):
     """(certificate, None) on success, (None, first failed condition) otherwise.
 
-    a_roots optionally carries the pre-isolated roots of the trace
-    polynomial Phi of phi; it is used for the untwisted attempt only.
+    Every root comes from the one cached ``isolate_real_roots`` path, which
+    splits off catalog factors itself.
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
@@ -361,7 +360,7 @@ def k3_certificate_explain(phi: IntPoly, psi: IntPoly, side: str, a_roots=None):
             break
         ph, ps = (phi, psi) if not antipode else antipode_pair(phi, psi)
         Phi, Psi = trace_polynomial_pair(ph, ps)
-        tc = compute_trace_clusters(Phi, Psi, "even", a_roots if not antipode else None)
+        tc = compute_trace_clusters(Phi, Psi, "even")
         if tc.no_clusters:
             reason = "Psi has no roots on [-2, 2]"
             continue

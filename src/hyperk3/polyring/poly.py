@@ -334,10 +334,11 @@ def _prem(a, b) -> list[int]:
     return rem
 
 
-def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Yun's algorithm: [(g_i, i)] with f = content * prod g_i^i, g_i squarefree, coprime."""
+@lru_cache(maxsize=32)
+def squarefree_decomposition(f: IntPoly) -> tuple[tuple[IntPoly, int], ...]:
+    """Yun's algorithm: ((g_i, i), ...) with f = content * prod g_i^i, g_i squarefree, coprime."""
     if f.degree <= 0:
-        return []
+        return ()
     f = f.primitive()
     out: list[tuple[IntPoly, int]] = []
     g = poly_gcd(f, f.derivative())
@@ -351,7 +352,7 @@ def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
         c = c.divexact(p)
         d = d.divexact(p) - c.derivative()
         i += 1
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +565,7 @@ def euler_phi(k: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _cyclotomic_standard(k: int) -> IntPoly:
     if k == 1:
         return IntPoly((-1, 1))
@@ -596,7 +597,7 @@ def totient_degree(k: int) -> int:
     return 1 if k <= 2 else euler_phi(k) // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def cyclotomic_trace(k: int) -> IntPoly:
     """CT_k with z^(phi(k)/2) CT_k(z + 1/z) = C_k (squared convention)."""
     return trace_poly(cyclotomic(k, "squared"))
@@ -693,23 +694,17 @@ class FactorList:
 def _salem_shape(g: IntPoly) -> bool:
     """Salem test for a squarefree candidate with cyclotomic part stripped.
 
-    Palindromic of even degree whose trace polynomial has all real roots,
-    exactly one of them > 2 and the rest inside [-2, 2].  Irreducibility
-    comes for free once every cyclotomic divisor is gone (a palindromic factor
-    with all roots on the unit circle would be a product of cyclotomics).
+    Palindromic of even degree whose trace polynomial is a Salem trace.  For
+    such g the trace polynomial is squarefree with no root at +-2, so no
+    root sits on the boundary of (-2, 2).  Irreducibility comes for free once
+    every cyclotomic divisor is gone (a palindromic factor with all roots on
+    the unit circle would be a product of cyclotomics).
     """
-    from .roots import isolate_real_roots  # local import to avoid cycle
+    from .roots import is_salem_trace  # local import to avoid cycle
 
     if g.degree < 4 or g.degree % 2 != 0 or palindrome_class(g) != "palindromic":
         return False
-    t = trace_poly(g)
-    roots = isolate_real_roots(t)
-    if sum(r.multiplicity for r in roots) != t.degree:
-        return False
-    above = [r for r in roots if r > 2]
-    if len(above) != 1 or above[0].multiplicity != 1:
-        return False
-    return all(r <= 2 and r >= -2 for r in roots if r is not above[0])
+    return is_salem_trace(trace_poly(g))
 
 
 def classify_product(f: IntPoly) -> FactorList:

@@ -6,10 +6,14 @@ and refined by sign bisection.  An ``AlgebraicReal`` is a squarefree
 defining polynomial plus an open rational isolating interval; every
 comparison below is decided exactly, never numerically.
 
-Isolation runs once per polynomial: one bounded cache keeps each
-polynomial's roots, refined to width 2^-20, and every call returns fresh
-copies of them.  A copy's isolating interval shrinks as comparisons refine
-it, so each caller owns its roots and no call sees another's refinement.
+There is one isolation path, ``isolate_real_roots``, and it runs once per
+polynomial: one bounded cache keeps each polynomial's roots, refined to
+width 2^-20, and every call returns fresh copies of them.  A copy's
+isolating interval shrinks as comparisons refine it, so each caller owns its
+roots and no call sees another's refinement.  On a miss, each squarefree
+part sheds the factors of the closed catalog (the 41 CT_k of degree <= 10
+and LT) by exact division; their roots come from a table isolated once per
+factor, and only the residual goes through Sturm.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 
-from .poly import IntPoly, poly_gcd, squarefree_decomposition
+from .atoms import lehmer_trace
+from .poly import (IntPoly, cyclotomic_indices_up_to_degree, cyclotomic_trace, poly_gcd,
+                   squarefree_decomposition)
 
 
 def _sturm_chain(f: IntPoly) -> list[IntPoly]:
@@ -318,6 +324,19 @@ class AlgebraicReal:
         return f"AlgebraicReal({self.minpoly.format('x')}, ({lo:.6g}, {hi:.6g}), mult={self.multiplicity})"
 
 
+def is_salem_trace(t: IntPoly) -> bool:
+    """Squarefree with all roots real, exactly one above 2, the rest in (-2, 2).
+
+    This is the shape of the trace polynomial of a Salem polynomial.
+    """
+    if t.degree < 1:
+        return False
+    roots = isolate_real_roots(t)
+    if len(roots) != t.degree or any(r.multiplicity != 1 for r in roots):
+        return False
+    return roots[-1] > 2 and roots[0] > -2 and (len(roots) == 1 or roots[-2] < 2)
+
+
 # Cached roots are refined once to this width.  It is coarser than the CLI's
 # default display width 1/10^8, so displayed intervals are the ones the
 # bisection would reach from the isolating interval anyway; and it is narrow
@@ -342,21 +361,53 @@ def isolate_real_roots(f: IntPoly) -> list[AlgebraicReal]:
 
 @lru_cache(maxsize=128)
 def _isolation_cache(coeffs: tuple) -> tuple:
+    decomposition = squarefree_decomposition(IntPoly(coeffs))
     roots: list[AlgebraicReal] = []
-    for part, mult in squarefree_decomposition(IntPoly(coeffs)):
-        roots.extend(_isolate_squarefree(part, mult))
-    for r in _sorted_disjoint(roots):
-        r.refine_to(_CACHE_WIDTH)
-    return tuple(roots)
+    for part, mult in decomposition:
+        rest, at = part, part(_PROBE)
+        for factor, value in _catalog():
+            if factor.degree <= rest.degree and at % value == 0:
+                quot, rem = rest.divmod_exact(factor)
+                if not rem:
+                    rest, at = quot, at // value
+                    roots.extend(AlgebraicReal._trusted(r.minpoly, r._lo, r._hi, mult)
+                                 for r in _catalog_roots(factor.coeffs))
+        roots.extend(_isolate_squarefree(rest, mult))
+    # Disjoint intervals around the roots of coprime factors isolate each
+    # root within its whole squarefree part, which its multiplicity names.
+    part_of = {mult: part for part, mult in decomposition}
+    return tuple(AlgebraicReal._trusted(part_of[r.multiplicity], r._lo, r._hi, r.multiplicity)
+                 for r in _separated(roots))
 
 
-def _sorted_disjoint(roots: list[AlgebraicReal]) -> list[AlgebraicReal]:
-    """Sort roots increasing in place and bisect until neighbours' intervals are disjoint."""
+# Every catalog root lies in (-3, 3), so no catalog factor vanishes at
+# _PROBE, and a factor that divides a part divides its value there.
+_PROBE = 2 ** 64
+
+
+@lru_cache(maxsize=1)
+def _catalog() -> tuple:
+    """(factor, factor(_PROBE)) for the 41 CT_k of degree <= 10 and LT."""
+    factors = [cyclotomic_trace(k) for k in cyclotomic_indices_up_to_degree(10)] + [lehmer_trace()]
+    return tuple((f, f(_PROBE)) for f in factors)
+
+
+@lru_cache(maxsize=64)
+def _catalog_roots(coeffs: tuple) -> tuple:
+    """A catalog factor's roots, isolated once; only copies leave this table."""
+    return tuple(_separated(_isolate_squarefree(IntPoly(coeffs), 1)))
+
+
+def _separated(roots: list[AlgebraicReal]) -> list[AlgebraicReal]:
+    """Sort roots increasing in place, bisect until neighbours' intervals are
+    disjoint, then refine each to _CACHE_WIDTH."""
     roots.sort(key=cmp_to_key(lambda a, b: a.compare(b)))
     for a, b in zip(roots, roots[1:]):
         while not a._hi <= b._lo:
             a._bisect_once()
             b._bisect_once()
+    for r in roots:
+        r.refine_to(_CACHE_WIDTH)
     return roots
 
 
@@ -386,16 +437,3 @@ def _isolate_squarefree(f: IntPoly, mult: int) -> list[AlgebraicReal]:
         stack.append((a, mid, va, vm))
         stack.append((mid, c, vm, vc))
     return out
-
-
-def isolate_with_known_factors(factors) -> list[AlgebraicReal]:
-    """Real roots of a product given as [(irreducible factor, multiplicity)].
-
-    Reads the per-factor isolation cache, so repeated products over a common
-    factor pool (cyclotomic-trace searches) avoid re-running Sturm.  Every
-    root is a new object.
-    """
-    roots = [AlgebraicReal._trusted(r.minpoly, r._lo, r._hi, mult)
-             for poly, mult in factors if poly.degree >= 1
-             for r in _isolation_cache(poly.coeffs)]
-    return _sorted_disjoint(roots)

@@ -45,7 +45,6 @@ from .polyring import (
     salem_trace_deg11,
     totient_degree,
 )
-from .polyring.roots import isolate_with_known_factors
 from .siegel import builtin_q, siegel_test, threshold_classify_deg22
 
 MULTIPLE_OK = (1, 2, 3, 4, 6)  # the degree-one indices: integer-rooted CT_k
@@ -148,19 +147,11 @@ def _root_label(tau, poly, prefix: str) -> str:
     raise AssertionError("special trace is not an inside root of the expected polynomial")
 
 
-def _ct_factor_roots(multiset):
-    counts = {}
-    for k in multiset:
-        counts[k] = counts.get(k, 0) + 1
-    return isolate_with_known_factors(
-        [(cyclotomic_trace(k), c) for k, c in counts.items()])
-
-
 def _worker_deg22(args):
     i, multiset = args
     R = salem_trace_deg11(i)
     phi, psi = pair_from_trace(ct_product(multiset), R, "even")
-    cert = k3_certificate(phi, psi, "B", a_roots=_ct_factor_roots(multiset))
+    cert = k3_certificate(phi, psi, "B")
     if cert is None:
         return None
     tau = cert.special_trace.retargeted(R)
@@ -176,11 +167,7 @@ def scan_deg22(r_index: int, jobs: int | None = None) -> list[SearchEntry]:
     R = salem_trace_deg11(r_index)
     if R.trace() != -1:
         raise AssertionError("Salem trace polynomials here must have trace -1")
-    candidates = []
-    ok = _resultant_ok_map(R)
-    for multiset in enumerate_ct_products(10, "one_multiple_le3"):
-        if all(ok[k] for k in set(multiset)):
-            candidates.append((r_index, multiset))
+    candidates = [(r_index, ms) for ms in _qualifying(R, 10, "one_multiple_le3")]
     results = _run(_worker_deg22, candidates, jobs)
     entries = [e for e in results if e is not None]
     entries.sort(key=_entry_key)
@@ -189,6 +176,12 @@ def scan_deg22(r_index: int, jobs: int | None = None) -> list[SearchEntry]:
 
 def _resultant_ok_map(R: IntPoly):
     return {k: abs(resultant(cyclotomic_trace(k), R)) == 1 for k, _d in ct_catalog()}
+
+
+def _qualifying(Psi: IntPoly, degree: int, multiplicity_rule: str):
+    """The CT products of the degree whose every factor has a unit resultant with Psi."""
+    ok = _resultant_ok_map(Psi)
+    return [m for m in enumerate_ct_products(degree, multiplicity_rule) if all(ok[k] for k in m)]
 
 
 def _entry_key(e: SearchEntry):
@@ -208,9 +201,7 @@ def _worker_lehmer_a(args):
     R = salem_trace_deg11(i)
     Phi = lehmer_trace() * ct_product(kset)
     phi, psi = pair_from_trace(Phi, R, "even")
-    a_roots = isolate_with_known_factors(
-        [(lehmer_trace(), 1)] + [(cyclotomic_trace(k), 1) for k in kset])
-    cert = k3_certificate(phi, psi, "A", a_roots=a_roots)
+    cert = k3_certificate(phi, psi, "A")
     return _lehmer_entry(f"R{i}", kset, cert)
 
 
@@ -218,7 +209,7 @@ def _worker_lehmer_b(args):
     i, multiset = args
     Psi = lehmer_nf(i)
     phi, psi = pair_from_trace(ct_product(multiset), Psi, "even")
-    cert = k3_certificate(phi, psi, "B", a_roots=_ct_factor_roots(multiset))
+    cert = k3_certificate(phi, psi, "B")
     return _lehmer_entry(f"L{i}", multiset, cert)
 
 
@@ -249,27 +240,13 @@ def _lehmer_entry(psi_label: str, multiset, cert) -> SearchEntry | None:
 def scan_lehmer(side: str, jobs: int | None = None) -> list[SearchEntry]:
     """Minimum-entropy scans: side A over (R_i, degree-5 CT sets), side B over (L_i, degree-10 CT products)."""
     if side == "A":
-        candidates = []
-        for i in range(1, 11):
-            R = salem_trace_deg11(i)
-            lt_ok = abs(resultant(lehmer_trace(), R)) == 1
-            if not lt_ok:
-                continue
-            ok = _resultant_ok_map(R)
-            for kset in enumerate_ct_products(5, "sets_only"):
-                if all(ok[k] for k in kset):
-                    candidates.append((i, kset))
+        candidates = [(i, ks) for i in range(1, 11)
+                      if abs(resultant(lehmer_trace(), salem_trace_deg11(i))) == 1
+                      for ks in _qualifying(salem_trace_deg11(i), 5, "sets_only")]
         results = _run(_worker_lehmer_a, candidates, jobs)
     elif side == "B":
-        candidates = []
-        for i in range(1, 9):
-            Psi = lehmer_nf(i)
-            if not is_unramified(Psi):
-                continue
-            ok = _resultant_ok_map(Psi)
-            for multiset in enumerate_ct_products(10, "one_multiple_le3"):
-                if all(ok[k] for k in set(multiset)):
-                    candidates.append((i, multiset))
+        candidates = [(i, ms) for i in range(1, 9) if is_unramified(lehmer_nf(i))
+                      for ms in _qualifying(lehmer_nf(i), 10, "one_multiple_le3")]
         results = _run(_worker_lehmer_b, candidates, jobs)
     else:
         raise ValueError("side must be 'A' or 'B'")

@@ -22,6 +22,7 @@ from .polyring import (
     IntPoly,
     cyclotomic,
     cyclotomic_trace,
+    is_salem_trace,
     isolate_real_roots,
     lehmer,
     lehmer_trace,
@@ -89,17 +90,6 @@ def _sign_q_minus(tau: AlgebraicReal, q: QFunction, c: int) -> int:
     return tau.sign_of(p) * den_sign
 
 
-def _is_salem_trace_shape(p: IntPoly) -> bool:
-    """Squarefree with all roots real, exactly one above 2, the rest in (-2, 2)."""
-    roots = isolate_real_roots(p)
-    if sum(r.multiplicity for r in roots) != p.degree:
-        return False
-    if any(r.multiplicity != 1 for r in roots):
-        return False
-    above = [r for r in roots if r > 2]
-    return len(above) == 1 and all(-2 < r < 2 for r in roots if r is not above[0])
-
-
 def siegel_test(tau: AlgebraicReal, q: QFunction) -> SiegelVerdict:
     """Apply the Siegel/hyperbolic criterion at tau with the given q.
 
@@ -108,7 +98,7 @@ def siegel_test(tau: AlgebraicReal, q: QFunction) -> SiegelVerdict:
     and q(tau) is not 0 or 4 (else the verdict is 'indeterminate').
     """
     minimal = tau.minpoly
-    if not _is_salem_trace_shape(minimal):
+    if not is_salem_trace(minimal):
         raise ValueError("tau must be a root of a Salem trace polynomial")
     if not (-2 < tau < 2):
         raise ValueError("tau must lie in (-2, 2)")
@@ -141,7 +131,7 @@ def threshold_classify_deg22(tau: AlgebraicReal) -> str:
     exactly at tau0 on (-2, 2); the agreement is asserted.
     """
     minimal = tau.minpoly
-    if minimal.degree != 11 or not _is_salem_trace_shape(minimal):
+    if minimal.degree != 11 or not is_salem_trace(minimal):
         raise ValueError("tau must be a root in (-2,2) of a degree-11 Salem trace polynomial")
     if not (-2 < tau < 2):
         raise ValueError("tau must lie in (-2, 2)")

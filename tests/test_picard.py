@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -45,10 +46,16 @@ def ctp(ks):
     return out
 
 
-def brute_force_roots(gram, box):
-    n = len(gram)
+def brute_force_roots(gram):
+    """Every t with t G t^T = 2, from a box that provably holds them all.
+
+    Cauchy-Schwarz in the form G gives t_i^2 <= (G^-1)_ii * Q(t) = 2 (G^-1)_ii,
+    so coordinate i ranges over |t_i| <= isqrt(floor(2 (G^-1)_ii)).
+    """
+    inv = linalg.mat_inverse(gram)
+    boxes = [math.isqrt(math.floor(2 * Fraction(inv[i][i]))) for i in range(len(gram))]
     out = []
-    for t in itertools.product(range(-box, box + 1), repeat=n):
+    for t in itertools.product(*(range(-b, b + 1) for b in boxes)):
         if any(t) and pairing(gram, t, t) == 2:
             out.append(t)
     return sorted(out)
@@ -72,7 +79,7 @@ E8 = [[2, 0, -1, 0, 0, 0, 0, 0],
 def test_enumeration_matches_brute_force(gram, expected):
     roots = enumerate_root_system(gram)
     assert len(roots) == expected
-    assert roots == brute_force_roots(gram, 4)
+    assert roots == brute_force_roots(gram)
 
 
 def test_enumeration_random_definite_grams():
@@ -85,7 +92,7 @@ def test_enumeration_random_definite_grams():
             g = [[2 * g[i][j] for j in range(n)] for i in range(n)]
             if linalg.is_positive_definite(g):
                 break
-        assert enumerate_root_system(g) == brute_force_roots(g, 6)
+        assert enumerate_root_system(g) == brute_force_roots(g)
 
 
 # ---------------------------------------------------------------------------

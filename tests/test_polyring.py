@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -14,6 +15,7 @@ from hyperk3.polyring import (
     cyclotomic_indices_up_to_degree,
     cyclotomic_trace,
     euler_phi,
+    is_salem_trace,
     is_unramified,
     isolate_real_roots,
     lehmer,
@@ -532,8 +534,8 @@ def test_algebraic_real_rational_root():
 
 
 def test_isolation_returns_private_copies():
-    """Refining a returned root reaches neither the cache nor a later call's roots."""
-    from hyperk3.polyring.roots import isolate_with_known_factors
+    """Refining a returned root reaches neither the cache, the catalog table nor a later call's roots."""
+    from hyperk3.polyring import roots
 
     R = salem_trace_deg11(1)
     first = isolate_real_roots(R)
@@ -543,9 +545,22 @@ def test_isolation_returns_private_copies():
     again = isolate_real_roots(R)
     assert all(a is not b for a, b in zip(first, again))
     assert [r.interval for r in again] == before
-    merged = isolate_with_known_factors([(R, 1)])
-    assert [r.interval for r in merged] == before
-    assert all(a is not b for a, b in zip(again, merged))
+
+    factors = [cyclotomic_trace(1), cyclotomic_trace(3), cyclotomic_trace(16), lehmer_trace()]
+    Phi = factors[0] ** 3 * factors[1] * factors[2] * factors[3]
+
+    def table():
+        return [[r.interval for r in roots._catalog_roots(f.coeffs)] for f in factors]
+
+    first = isolate_real_roots(Phi)
+    before, table_before = [r.interval for r in first], table()
+    for r in first:
+        r.refine_to(Fraction(1, 10 ** 40))
+    again = isolate_real_roots(Phi)
+    assert all(a is not b for a, b in zip(first, again))
+    assert [r.interval for r in again] == before
+    assert table() == table_before
+    assert sum(len(t) for t in table_before) == len(again) == 1 + 1 + 4 + 5
 
 
 def _old_isolate_real_roots(f):
@@ -571,7 +586,7 @@ def _old_isolate_real_roots(f):
                 mid = R._nonroot_near(part, (a + c) / 2)
                 vm = R._variations(chain, mid)
                 stack += [(a, mid, va, vm), (mid, c, vm, vc)]
-    out.sort(key=lambda r: r.approx(Fraction(1, 10 ** 30)))
+    out.sort(key=cmp_to_key(lambda a, b: a.compare(b)))
     return out
 
 
@@ -597,6 +612,49 @@ def test_isolation_matches_old_on_catalog():
     polys += [cyclotomic_trace(1) ** 3 * cyclotomic_trace(3) * cyclotomic_trace(16),
               cyclotomic_trace(4) ** 2 * lehmer_trace() * salem_trace_deg11(2)]
     for f in polys:
+        _assert_isolation_matches_old(f)
+
+
+def _antipode(P):
+    """P(-w), the trace polynomial of the antipode pair up to sign."""
+    return IntPoly([(-1) ** i * c for i, c in enumerate(P.coeffs)])
+
+
+def test_isolation_matches_old_on_scan_products():
+    """Every distinct Phi of the R7 deg22 and the lehmerA/lehmerB candidates, and the antipodes.
+
+    These are the products whose catalog factors the isolation splits off.
+    """
+    from hyperk3.search import _resultant_ok_map, ct_product, enumerate_ct_products
+
+    deg10 = enumerate_ct_products(10, "one_multiple_le3")
+    polys = {}
+
+    def add(P, *antipode):
+        for f in (P, _antipode(P))[:1 + len(antipode)]:
+            polys.setdefault(f.coeffs, f)
+
+    ok = _resultant_ok_map(salem_trace_deg11(7))
+    r7 = [ms for ms in deg10 if all(ok[k] for k in ms)]
+    assert len(r7) == 272
+    for ms in r7:
+        add(ct_product(ms), "antipode")
+    lehmer_a = set()
+    for i in range(1, 11):
+        R = salem_trace_deg11(i)
+        if abs(resultant(lehmer_trace(), R)) == 1:
+            ok = _resultant_ok_map(R)
+            lehmer_a.update(ks for ks in enumerate_ct_products(5, "sets_only")
+                            if all(ok[k] for k in ks))
+    for ks in sorted(lehmer_a):
+        add(lehmer_trace() * ct_product(ks), "antipode")
+    for i in range(1, 9):
+        if is_unramified(lehmer_nf(i)):
+            ok = _resultant_ok_map(lehmer_nf(i))
+            for ms in deg10:
+                if all(ok[k] for k in ms):
+                    add(ct_product(ms))
+    for f in polys.values():
         _assert_isolation_matches_old(f)
 
 
@@ -640,6 +698,63 @@ def test_classify_product_examples():
     fl3 = classify_product(IntPoly((-3, 0, 1)))  # z^2 - 3: roots off circle
     assert fl3.other_factors() and not fl3.salem_factors()
     assert not fl3.cyclotomic_part()
+
+
+def _old_is_salem_trace_shape(p):
+    """siegel's shape test before the shared helper (reference only)."""
+    roots = isolate_real_roots(p)
+    if sum(r.multiplicity for r in roots) != p.degree:
+        return False
+    if any(r.multiplicity != 1 for r in roots):
+        return False
+    above = [r for r in roots if r > 2]
+    return len(above) == 1 and all(-2 < r < 2 for r in roots if r is not above[0])
+
+
+def _old_salem_shape(g):
+    """poly._salem_shape before the shared helper, closed interval [-2, 2] (reference only)."""
+    if g.degree < 4 or g.degree % 2 != 0 or palindrome_class(g) != "palindromic":
+        return False
+    t = trace_poly(g)
+    roots = isolate_real_roots(t)
+    if sum(r.multiplicity for r in roots) != t.degree:
+        return False
+    above = [r for r in roots if r > 2]
+    if len(above) != 1 or above[0].multiplicity != 1:
+        return False
+    return all(r <= 2 and r >= -2 for r in roots if r is not above[0])
+
+
+def _assert_salem_shapes_match_old(t):
+    """The helper against siegel's old test on t, and against the old _salem_shape
+    on each squarefree, cyclotomic-free part that classify_product tests of its z-form."""
+    from hyperk3.polyring.poly import _salem_shape
+
+    assert is_salem_trace(t) == _old_is_salem_trace_shape(t), t
+    for part, mult, tag in classify_product(palindromic_expand(t)).factors:
+        if tag[0] != "cyclotomic" and mult == 1:
+            assert _salem_shape(part) == _old_salem_shape(part), part
+    return is_salem_trace(t)
+
+
+def test_salem_trace_helper_matches_old():
+    named = [cyclotomic_trace(k) for k in cyclotomic_indices_up_to_degree(10)]
+    named += [salem_trace_deg11(i) for i in range(1, 11)]
+    named += [lehmer_nf(i) for i in range(1, 9)]
+    named += [lehmer_trace(), salem_trace_mt(), salem_trace_nt()]
+    # a root at +-2 or a repeated root rules the shape out
+    named += [lehmer_trace() * cyclotomic_trace(k) for k in (1, 2)]
+    named += [salem_trace_mt() * cyclotomic_trace(3) ** 2]
+    salem = [_assert_salem_shapes_match_old(t) for t in named]
+    assert salem == [False] * 41 + [True] * 21 + [False] * 3
+    rng = random.Random(2003)
+    found = 0
+    for _ in range(300):
+        t = IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 6))] + [1])
+        if rng.random() < 0.3:
+            t = t * cyclotomic_trace(rng.choice([1, 2, 3, 5, 8]))
+        found += _assert_salem_shapes_match_old(t)
+    assert found >= 5
 
 
 def test_classify_random_reassembly():
@@ -775,6 +890,8 @@ def test_per_query_caches_are_bounded():
     """Caches keyed by arbitrary polynomials must not grow without limit."""
     from hyperk3.polyring import poly, roots
 
-    for cached in (poly.resultant, poly.trace_polynomial_pair, roots._sf_chain,
-                   roots._SF_CACHE, roots._gcd_cached, roots._isolation_cache):
+    for cached in (poly.resultant, poly.trace_polynomial_pair, poly.squarefree_decomposition,
+                   poly._cyclotomic_standard, poly.cyclotomic_trace, roots._sf_chain,
+                   roots._SF_CACHE, roots._gcd_cached, roots._isolation_cache,
+                   roots._catalog_roots):
         assert cached.cache_info().maxsize is not None, cached.__name__
