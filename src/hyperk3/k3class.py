@@ -8,6 +8,8 @@ with the Picard number.
 Two independent determination paths are implemented and cross-asserted on
 every certificate: the cluster-pattern tables, and the uniqueness of the
 on-interval root with K3-normalized local index +1.
+Outside input enters at ``k3_certificate_explain`` (full ``is_unimodular``);
+the scans, unimodular by ``search._qualifying``, at ``trace_certificate_explain``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .hyplattice import is_unimodular
 from .polyring import (
     IntPoly,
     classify_product,
+    is_unramified,
+    pair_from_trace,
+    resultant,
     squarefree_decomposition,
     trace_poly,
     trace_polynomial_pair,
@@ -95,15 +100,11 @@ _CLASSIFY = (
 )
 
 
-def _sizes(tc: TraceClusters, side: str) -> list[int]:
-    return tc.cluster_sizes(side)
-
-
 def _check_constraint(tc: TraceClusters, constraint) -> bool:
     if constraint[0] == "adjacent":
         return _doubles_adjacent(tc, constraint[1]) is not None
     _tag, side, idx, size = constraint
-    sizes = _sizes(tc, side)
+    sizes = tc.cluster_sizes(side)
     return idx <= len(sizes) and sizes[idx - 1] == size
 
 
@@ -113,8 +114,8 @@ def _doubles_adjacent(tc: TraceClusters, scope: str):
     scope 'on' looks for the A-double among all A clusters, scope 'in' only
     among the interior ones A_2 .. A_s.
     """
-    a_sizes = _sizes(tc, "A")
-    b_sizes = _sizes(tc, "B")
+    a_sizes = tc.cluster_sizes("A")
+    b_sizes = tc.cluster_sizes("B")
     if scope == "in":
         a_doubles = [i + 1 for i, v in enumerate(a_sizes) if v == 2 and 2 <= i + 1 <= tc.s]
     else:
@@ -148,7 +149,7 @@ def classify_rank22(tc: TraceClusters):
             value = sign
         else:
             side, plus_idx, minus_idx = sign
-            sizes = _sizes(tc, side)
+            sizes = tc.cluster_sizes(side)
             if sizes[plus_idx - 1] == 2:
                 value = 16
             elif sizes[minus_idx - 1] == 2:
@@ -309,14 +310,13 @@ class K3Certificate:
     clusters: TraceClusters
 
 
-def antipode_pair(phi: IntPoly, psi: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """(phi, psi) of the antipode group generated by -A and -B."""
-    n = phi.degree
+def antipode_pair(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """The pair of the antipode group generated by -A and -B: h(x) -> (-1)^deg h(-x).
 
-    def flip(f):
-        return IntPoly(tuple((-1) ** (n + i) * c for i, c in enumerate(f.coeffs)))
-
-    return flip(phi), flip(psi)
+    Maps (phi, psi) and, as w = z + 1/z goes to -w, the trace pair (Phi, Psi) alike.
+    """
+    return tuple(IntPoly([(-1) ** (h.degree + i) * c for i, c in enumerate(h.coeffs)])
+                 for h in (f, g))
 
 
 def _all_roots_simple(f: IntPoly) -> bool:
@@ -342,8 +342,8 @@ def k3_certificate(phi: IntPoly, psi: IntPoly, side: str):
 def k3_certificate_explain(phi: IntPoly, psi: IntPoly, side: str):
     """(certificate, None) on success, (None, first failed condition) otherwise.
 
-    Every root comes from the one cached ``isolate_real_roots`` path, which
-    splits off catalog factors itself.
+    The entry for outside input: it checks the rank and runs the full
+    ``is_unimodular`` before ``trace_certificate_explain`` does the rest.
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
@@ -351,6 +351,22 @@ def k3_certificate_explain(phi: IntPoly, psi: IntPoly, side: str):
         return None, f"rank {phi.degree} != {RANK}"
     if not is_unimodular(phi, psi):
         return None, "lattice is not unimodular"
+    return trace_certificate_explain(*trace_polynomial_pair(phi, psi), side)
+
+
+def trace_certificate_explain(Phi: IntPoly, Psi: IntPoly, side: str):
+    """k3_certificate_explain's work on the trace pair (Phi, Psi) of degrees 10 and 11.
+
+    Precondition: unimodularity, |Psi(+-2)| = |Res(Phi, Psi)| = 1, decided by
+    ``is_unimodular`` for outside input and by ``search._qualifying`` for the
+    scans.  A cheap guard (clustering needs that resultant anyway) raises
+    ValueError on a pair that fails it.  phi, psi are rebuilt only on a match.
+    """
+    if side not in ("A", "B"):
+        raise ValueError("side must be 'A' or 'B'")
+    if not (Phi.degree == RANK // 2 - 1 and Psi.degree == RANK // 2
+            and is_unramified(Psi) and abs(resultant(Phi, Psi)) == 1):
+        raise ValueError("not the trace pair of a unimodular pair of rank 22")
     reason = "no matching configuration"
     for antipode in (False, True):
         # The antipode negates every root of Phi and Psi, so on side B it can
@@ -358,13 +374,12 @@ def k3_certificate_explain(phi: IntPoly, psi: IntPoly, side: str):
         # and no other root off [-2, 2].  Its reason is never reported.
         if antipode and side == "B" and not (tc.b_lt2 == 1 and tc.b_off_total == 1):
             break
-        ph, ps = (phi, psi) if not antipode else antipode_pair(phi, psi)
-        Phi, Psi = trace_polynomial_pair(ph, ps)
-        tc = compute_trace_clusters(Phi, Psi, "even")
+        Ph, Ps = (Phi, Psi) if not antipode else antipode_pair(Phi, Psi)
+        tc = compute_trace_clusters(Ph, Ps, "even")
         if tc.no_clusters:
             reason = "Psi has no roots on [-2, 2]"
             continue
-        found = _match_side(tc, Phi, Psi, side)
+        found = _match_side(tc, Ph, Ps, side)
         if isinstance(found, str):
             if not antipode:
                 reason = found
@@ -380,8 +395,8 @@ def k3_certificate_explain(phi: IntPoly, psi: IntPoly, side: str):
             raise AssertionError("table and local-index special traces disagree")
         if not (-2 < st < 2):
             raise AssertionError("special trace must lie strictly inside (-2, 2)")
-        chi = ph if side == "A" else ps
-        split = chi_factorization(chi, st)
+        phi, psi = pair_from_trace(Ph, Ps, "even")
+        split = chi_factorization(phi if side == "A" else psi, st)
         if split.rho % 2 != 0 or split.rho > 20:
             raise AssertionError("Picard number must be even and <= 20")
         return K3Certificate(
@@ -389,7 +404,7 @@ def k3_certificate_explain(phi: IntPoly, psi: IntPoly, side: str):
             special_trace=st, renormalized=renormalized, antipode=antipode,
             chi0=split.chi0, chi1=split.chi1, rho=split.rho,
             projective=split.projective,
-            phi=ph, psi=ps, Phi=Phi, Psi=Psi, clusters=tc,
+            phi=phi, psi=psi, Phi=Ph, Psi=Ps, clusters=tc,
         ), None
     return None, reason
 
@@ -428,9 +443,7 @@ def _match_side(tc: TraceClusters, Phi: IntPoly, Psi: IntPoly, side: str):
                     continue
                 return "hyp-A", case, st_rule, "hyperbolic"
         return "side A configuration matches no table row"
-    # side B
-    if Psi(2) == 0 or Psi(-2) == 0:
-        return "side B requires Psi(+-2) != 0"
+    # side B; Psi(+-2) != 0 holds, as the precondition makes Psi(+-2) = +-1
     if not _all_roots_simple(Psi):
         return "side B requires all roots of Psi simple"
     if not _phi_multiple_root_ok(Phi):

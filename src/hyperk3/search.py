@@ -10,9 +10,10 @@ The three families:
   lehmerB  Phi = CT product of degree 10 as in deg22, Psi in {L_1..L_8}
            (the degree-11 LT * CT products), matrix B.
 
-Candidate generation is exhaustive and unimodularity is decided by the
-cross-resultant criterion; nothing in here is transcribed from reference
-tables (those live in the test fixtures).  Entries are emitted canonically
+Candidate generation is exhaustive; nothing in here is transcribed from
+reference tables (those live in the test fixtures).  As Res(phi, psi) = -Psi(2)
+Psi(-2) Res(Phi, Psi)^2 and Res is multiplicative, unimodularity is decided per
+factor (``_qualifying``, and LT for lehmerA).  Entries are emitted canonically
 sorted so repeated scans are byte-identical.  Workers can run in parallel
 across candidates (HYPERK3_THREADS) with a deterministic merge.
 """
@@ -23,7 +24,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .k3class import K3Certificate, k3_certificate
+from .k3class import K3Certificate, trace_certificate_explain
 from .picard import (
     bring_back,
     enumerate_root_system,
@@ -40,7 +41,6 @@ from .polyring import (
     lehmer,
     lehmer_nf,
     lehmer_trace,
-    pair_from_trace,
     resultant,
     salem_trace_deg11,
     totient_degree,
@@ -150,8 +150,7 @@ def _root_label(tau, poly, prefix: str) -> str:
 def _worker_deg22(args):
     i, multiset = args
     R = salem_trace_deg11(i)
-    phi, psi = pair_from_trace(ct_product(multiset), R, "even")
-    cert = k3_certificate(phi, psi, "B")
+    cert, _reason = trace_certificate_explain(ct_product(multiset), R, "B")
     if cert is None:
         return None
     tau = cert.special_trace.retargeted(R)
@@ -168,19 +167,14 @@ def scan_deg22(r_index: int, jobs: int | None = None) -> list[SearchEntry]:
     if R.trace() != -1:
         raise AssertionError("Salem trace polynomials here must have trace -1")
     candidates = [(r_index, ms) for ms in _qualifying(R, 10, "one_multiple_le3")]
-    results = _run(_worker_deg22, candidates, jobs)
-    entries = [e for e in results if e is not None]
-    entries.sort(key=_entry_key)
-    return entries
-
-
-def _resultant_ok_map(R: IntPoly):
-    return {k: abs(resultant(cyclotomic_trace(k), R)) == 1 for k, _d in ct_catalog()}
+    return _run(_worker_deg22, candidates, jobs)
 
 
 def _qualifying(Psi: IntPoly, degree: int, multiplicity_rule: str):
-    """The CT products of the degree whose every factor has a unit resultant with Psi."""
-    ok = _resultant_ok_map(Psi)
+    """The CT products of the degree making a unimodular pair with Psi; none if Psi is ramified."""
+    if not is_unramified(Psi):
+        return []
+    ok = {k: abs(resultant(cyclotomic_trace(k), Psi)) == 1 for k, _d in ct_catalog()}
     return [m for m in enumerate_ct_products(degree, multiplicity_rule) if all(ok[k] for k in m)]
 
 
@@ -199,17 +193,13 @@ _Q_BY_DYNKIN = {
 def _worker_lehmer_a(args):
     i, kset = args
     R = salem_trace_deg11(i)
-    Phi = lehmer_trace() * ct_product(kset)
-    phi, psi = pair_from_trace(Phi, R, "even")
-    cert = k3_certificate(phi, psi, "A")
+    cert, _reason = trace_certificate_explain(lehmer_trace() * ct_product(kset), R, "A")
     return _lehmer_entry(f"R{i}", kset, cert)
 
 
 def _worker_lehmer_b(args):
     i, multiset = args
-    Psi = lehmer_nf(i)
-    phi, psi = pair_from_trace(ct_product(multiset), Psi, "even")
-    cert = k3_certificate(phi, psi, "B")
+    cert, _reason = trace_certificate_explain(ct_product(multiset), lehmer_nf(i), "B")
     return _lehmer_entry(f"L{i}", multiset, cert)
 
 
@@ -219,10 +209,8 @@ def _lehmer_entry(psi_label: str, multiset, cert) -> SearchEntry | None:
     Attaches the Dynkin type, the modified characteristic factor and its
     trace, and the Siegel verdict for the Dynkin type's q.
     """
-    if cert is None or cert.projective:
+    if cert is None or cert.projective or cert.chi0 != lehmer():
         return None
-    if cert.chi0 != lehmer():
-        return None  # special eigenvalue not conjugate to Lehmer's number
     tau = cert.special_trace.retargeted(lehmer_trace())
     st_label = _root_label(tau, lehmer_trace(), "x")
     pic = picard_from_certificate(cert)
@@ -243,16 +231,12 @@ def scan_lehmer(side: str, jobs: int | None = None) -> list[SearchEntry]:
         candidates = [(i, ks) for i in range(1, 11)
                       if abs(resultant(lehmer_trace(), salem_trace_deg11(i))) == 1
                       for ks in _qualifying(salem_trace_deg11(i), 5, "sets_only")]
-        results = _run(_worker_lehmer_a, candidates, jobs)
-    elif side == "B":
-        candidates = [(i, ms) for i in range(1, 9) if is_unramified(lehmer_nf(i))
+        return _run(_worker_lehmer_a, candidates, jobs)
+    if side == "B":
+        candidates = [(i, ms) for i in range(1, 9)
                       for ms in _qualifying(lehmer_nf(i), 10, "one_multiple_le3")]
-        results = _run(_worker_lehmer_b, candidates, jobs)
-    else:
-        raise ValueError("side must be 'A' or 'B'")
-    entries = [e for e in results if e is not None]
-    entries.sort(key=_entry_key)
-    return entries
+        return _run(_worker_lehmer_b, candidates, jobs)
+    raise ValueError("side must be 'A' or 'B'")
 
 
 def resolve_jobs(jobs: int | str | None = None) -> int:
@@ -275,11 +259,14 @@ def resolve_jobs(jobs: int | str | None = None) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def _run(worker, candidates, jobs):
+def _run(worker, candidates, jobs) -> list[SearchEntry]:
+    """The entries the worker finds among the candidates, canonically sorted."""
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(candidates) < 4:
-        return [worker(c) for c in candidates]
-    from concurrent.futures import ProcessPoolExecutor
+        results = [worker(c) for c in candidates]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, candidates, chunksize=16))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(worker, candidates, chunksize=16))
+    return sorted((e for e in results if e is not None), key=_entry_key)

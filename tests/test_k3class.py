@@ -1,5 +1,7 @@
 """Certificates: tables, special traces, renormalization, chi factorization."""
 
+import random
+
 import pytest
 
 from hyperk3.clusters import compute_trace_clusters, index
@@ -10,6 +12,7 @@ from hyperk3.k3class import (
     k3_certificate,
     k3_certificate_explain,
     special_trace_by_local_index,
+    trace_certificate_explain,
 )
 from hyperk3.polyring import (
     IntPoly,
@@ -20,8 +23,10 @@ from hyperk3.polyring import (
     lehmer_nf,
     lehmer_trace,
     pair_from_trace,
+    resultant,
     salem_deg22,
     salem_trace_deg11,
+    trace_polynomial_pair,
 )
 
 CT = cyclotomic_trace
@@ -122,7 +127,6 @@ def test_antipode_applied_automatically():
     assert cert.case == base.case
     assert cert.special_trace == base.special_trace
     # untwisted certification fails because the Salem root sits below -2
-    from hyperk3.polyring import trace_polynomial_pair
     PhiM, PsiM = trace_polynomial_pair(phi_m, psi_m)
     roots_above = [r for r in isolate_real_roots(PsiM) if r > 2]
     assert not roots_above
@@ -260,17 +264,14 @@ def test_renormalized_signature_is_3_19():
 
 
 def _r7_candidates():
-    from hyperk3.search import _resultant_ok_map, enumerate_ct_products
+    from hyperk3.search import _qualifying
 
-    ok = _resultant_ok_map(salem_trace_deg11(7))
-    return [ms for ms in enumerate_ct_products(10, "one_multiple_le3")
-            if all(ok[k] for k in set(ms))]
+    return _qualifying(salem_trace_deg11(7), 10, "one_multiple_le3")
 
 
 def test_side_b_antipode_skip_loses_nothing():
     """Where side B skips the antipode, the antipode evaluated in full is rejected too."""
     from hyperk3.k3class import _match_side
-    from hyperk3.polyring import trace_polynomial_pair
 
     R = salem_trace_deg11(7)
     skipped = 0
@@ -308,3 +309,118 @@ def test_scan_computes_clusters_once_per_candidate(monkeypatch):
     entries = scan_deg22(7, jobs=1)
     assert entries
     assert len(calls) == len(_r7_candidates())
+
+
+def _lehmer_a_pairs():
+    """(Phi, Psi) of every lehmerA scan candidate, generated as the scan does."""
+    from hyperk3.search import _qualifying
+
+    return [(lehmer_trace() * ctp(ks), salem_trace_deg11(i)) for i in range(1, 11)
+            if abs(resultant(lehmer_trace(), salem_trace_deg11(i))) == 1
+            for ks in _qualifying(salem_trace_deg11(i), 5, "sets_only")]
+
+
+def _old_antipode_pair(phi, psi):
+    """Reference: the z-level antipode as written before it moved to the trace level."""
+    n = phi.degree
+
+    def flip(f):
+        return IntPoly(tuple((-1) ** (n + i) * c for i, c in enumerate(f.coeffs)))
+
+    return flip(phi), flip(psi)
+
+
+def _old_k3_certificate_explain(phi, psi, side):
+    """Reference: the z-level certificate loop that halved every attempt again.
+
+    The antipode is taken on (phi, psi) and each attempt recomputes its trace
+    pair with trace_polynomial_pair; the cross-checks are left to the code
+    under test.
+    """
+    from hyperk3.hyplattice import is_unimodular
+    from hyperk3.k3class import K3Certificate, _locate_st, _match_side
+
+    if not is_unimodular(phi, psi):
+        return None, "lattice is not unimodular"
+    reason = "no matching configuration"
+    for antipode in (False, True):
+        if antipode and side == "B" and not (tc.b_lt2 == 1 and tc.b_off_total == 1):
+            break
+        ph, ps = (phi, psi) if not antipode else _old_antipode_pair(phi, psi)
+        Phi, Psi = trace_polynomial_pair(ph, ps)
+        tc = compute_trace_clusters(Phi, Psi, "even")
+        if tc.no_clusters:
+            reason = "Psi has no roots on [-2, 2]"
+            continue
+        found = _match_side(tc, Phi, Psi, side)
+        if isinstance(found, str):
+            if not antipode:
+                reason = found
+            continue
+        table, case, st_rule, hodge_type = found
+        st = _locate_st(tc, st_rule)
+        split = chi_factorization(ph if side == "A" else ps, st)
+        return K3Certificate(
+            side=side, table=table, case=case, hodge_type=hodge_type,
+            special_trace=st, renormalized=index(tc).p_minus_q == 16, antipode=antipode,
+            chi0=split.chi0, chi1=split.chi1, rho=split.rho, projective=split.projective,
+            phi=ph, psi=ps, Phi=Phi, Psi=Psi, clusters=tc,
+        ), None
+    return None, reason
+
+
+def test_trace_core_matches_z_entry_and_old_loop():
+    """On every R7 deg22 and lehmerA candidate: equal certificates, field by field, or equal reasons.
+
+    R7 is tried on both sides, so the antipode attempt runs on side A as well.
+    """
+    R = salem_trace_deg11(7)
+    lehmer_a = _lehmer_a_pairs()
+    cases = [(ctp(ms), R, side) for ms in _r7_candidates() for side in ("B", "A")]
+    cases += [(Phi, Psi, "A") for Phi, Psi in lehmer_a]
+    certified, antipoded = 0, 0
+    for Phi, Psi, side in cases:
+        got = trace_certificate_explain(Phi, Psi, side)
+        phi, psi = pair_from_trace(Phi, Psi, "even")
+        assert k3_certificate_explain(phi, psi, side) == got
+        assert _old_k3_certificate_explain(phi, psi, side) == got
+        cert = got[0]
+        if cert is not None:
+            certified += 1
+            antipoded += cert.antipode
+            assert (cert.Phi, cert.Psi) == trace_polynomial_pair(cert.phi, cert.psi)
+    assert len(cases) == 2 * 272 + len(lehmer_a)
+    assert certified > 20 and antipoded > 0
+
+
+def test_trace_core_guards_its_precondition():
+    R1 = salem_trace_deg11(1)
+    with pytest.raises(ValueError):  # |Res(CT_5 CT_7 CT_11, R_1)| != 1
+        trace_certificate_explain(ctp([5, 7, 11]), R1, "B")
+    with pytest.raises(ValueError):  # Res(W^10, W^11 + 1) = 1 but Psi(2) = 2049
+        trace_certificate_explain(W ** 10, W ** 11 + 1, "B")
+    for Phi, Psi in ((ctp([5, 7]), R1), (CT(1) ** 3 * ctp([3, 4, 6, 16]), R1 * W),
+                     (IntPoly.one(), W + 3)):
+        with pytest.raises(ValueError):
+            trace_certificate_explain(Phi, Psi, "B")
+    with pytest.raises(ValueError):
+        trace_certificate_explain(CT(1) ** 3 * ctp([3, 4, 6, 16]), R1, "C")
+    assert trace_certificate_explain(CT(1) ** 3 * ctp([3, 4, 6, 16]), R1, "B")[0] is not None
+
+
+def test_antipode_commutes_with_the_trace_transform():
+    """antipode_pair on (Phi, Psi) is the trace pair of antipode_pair on (phi, psi).
+
+    Checked on the R7 candidates and on seeded random pairs of even rank 2..24,
+    where the z-level map is also checked against its old formula.
+    """
+    rng = random.Random(2026)
+    pairs = [(ctp(ms), salem_trace_deg11(7)) for ms in _r7_candidates()]
+    for N in range(1, 13):
+        for _ in range(8):
+            pairs.append((IntPoly([rng.randint(-9, 9) for _ in range(N - 1)] + [1]),
+                          IntPoly([rng.randint(-9, 9) for _ in range(N)] + [1])))
+    for Phi, Psi in pairs:
+        phi, psi = pair_from_trace(Phi, Psi, "even")
+        assert antipode_pair(phi, psi) == _old_antipode_pair(phi, psi)
+        assert antipode_pair(Phi, Psi) == trace_polynomial_pair(*antipode_pair(phi, psi))

@@ -625,17 +625,15 @@ def test_isolation_matches_old_on_scan_products():
 
     These are the products whose catalog factors the isolation splits off.
     """
-    from hyperk3.search import _resultant_ok_map, ct_product, enumerate_ct_products
+    from hyperk3.search import _qualifying, ct_product
 
-    deg10 = enumerate_ct_products(10, "one_multiple_le3")
     polys = {}
 
     def add(P, *antipode):
         for f in (P, _antipode(P))[:1 + len(antipode)]:
             polys.setdefault(f.coeffs, f)
 
-    ok = _resultant_ok_map(salem_trace_deg11(7))
-    r7 = [ms for ms in deg10 if all(ok[k] for k in ms)]
+    r7 = _qualifying(salem_trace_deg11(7), 10, "one_multiple_le3")
     assert len(r7) == 272
     for ms in r7:
         add(ct_product(ms), "antipode")
@@ -643,17 +641,12 @@ def test_isolation_matches_old_on_scan_products():
     for i in range(1, 11):
         R = salem_trace_deg11(i)
         if abs(resultant(lehmer_trace(), R)) == 1:
-            ok = _resultant_ok_map(R)
-            lehmer_a.update(ks for ks in enumerate_ct_products(5, "sets_only")
-                            if all(ok[k] for k in ks))
+            lehmer_a.update(_qualifying(R, 5, "sets_only"))
     for ks in sorted(lehmer_a):
         add(lehmer_trace() * ct_product(ks), "antipode")
     for i in range(1, 9):
-        if is_unramified(lehmer_nf(i)):
-            ok = _resultant_ok_map(lehmer_nf(i))
-            for ms in deg10:
-                if all(ok[k] for k in ms):
-                    add(ct_product(ms))
+        for ms in _qualifying(lehmer_nf(i), 10, "one_multiple_le3"):
+            add(ct_product(ms))
     for f in polys.values():
         _assert_isolation_matches_old(f)
 

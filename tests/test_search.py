@@ -1,15 +1,22 @@
 """Search harness against the golden transcriptions of the reference tables."""
 
 from hyperk3.polyring import (
+    cyclotomic_trace,
     is_unramified,
     lehmer_nf,
+    lehmer_trace,
+    pair_from_trace,
     parse_poly,
+    resultant,
     salem_trace_deg11,
 )
 import pytest
 
 from hyperk3 import search
+from hyperk3.hyplattice import is_unimodular
 from hyperk3.search import (
+    _qualifying,
+    ct_product,
     enumerate_ct_products,
     list_ct_catalog,
     resolve_jobs,
@@ -162,3 +169,60 @@ def test_bad_worker_count_is_rejected_before_any_work(monkeypatch):
     monkeypatch.setenv("HYPERK3_THREADS", "abc")
     with pytest.raises(ValueError):
         scan_deg22(7)
+
+
+def test_qualifying_needs_an_unramified_psi():
+    """A ramified Psi yields no candidates, even where every factor has a unit resultant."""
+    R = salem_trace_deg11(7)
+    ms = next(m for m in _qualifying(R, 10, "one_multiple_le3") if not {1, 2} & set(m))
+    Psi = R + ct_product(ms)  # agrees with R on every root of ct_product(ms)
+    assert all(abs(resultant(cyclotomic_trace(k), Psi)) == 1 for k in ms)
+    assert not is_unramified(Psi)
+    assert _qualifying(Psi, 10, "one_multiple_le3") == []
+    assert _qualifying(Psi, 5, "sets_only") == []
+    assert ms in _qualifying(R, 10, "one_multiple_le3")
+
+
+def test_every_scan_candidate_is_unimodular():
+    """The per-factor decision of _qualifying holds per candidate, by the full rank-22 test.
+
+    The scans no longer run is_unimodular; this is the check they used to repeat,
+    over every deg22 (all ten R_i), lehmerA and lehmerB candidate.
+    """
+    pairs = [(ct_product(ms), salem_trace_deg11(i)) for i in range(1, 11)
+             for ms in _qualifying(salem_trace_deg11(i), 10, "one_multiple_le3")]
+    pairs += [(lehmer_trace() * ct_product(ks), salem_trace_deg11(i)) for i in range(1, 11)
+              if abs(resultant(lehmer_trace(), salem_trace_deg11(i))) == 1
+              for ks in _qualifying(salem_trace_deg11(i), 5, "sets_only")]
+    pairs += [(ct_product(ms), lehmer_nf(i)) for i in range(1, 9)
+              for ms in _qualifying(lehmer_nf(i), 10, "one_multiple_le3")]
+    assert len(pairs) > 9000
+    for Phi, Psi in pairs:
+        assert is_unimodular(*pair_from_trace(Phi, Psi, "even"))
+
+
+def test_scan_computes_no_rank22_check(monkeypatch, deg22_entries):
+    """scan_deg22 runs no is_unimodular, no trace_polynomial_pair and no resultant above degree 11."""
+    import sys
+
+    from hyperk3 import k3class
+    from hyperk3.polyring import poly
+
+    def refuse(*_args):
+        raise AssertionError("a scan candidate was retested at rank 22")
+
+    monkeypatch.setattr(k3class, "is_unimodular", refuse)
+    monkeypatch.setattr(k3class, "trace_polynomial_pair", refuse)
+    real = poly.resultant
+    degrees = []
+
+    def recording(f, g):
+        degrees.append(max(f.degree, g.degree))
+        return real(f, g)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hyperk3") and getattr(mod, "resultant", None) is real:
+            monkeypatch.setattr(mod, "resultant", recording)
+    entries = scan_deg22(7, jobs=1)
+    assert [e.row() for e in entries] == [e.row() for e in deg22_entries[7]]
+    assert entries and degrees and max(degrees) <= 11
