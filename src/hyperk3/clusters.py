@@ -9,17 +9,19 @@ each other into interlacing runs
 indexed from the +2 end; only the end A-clusters may be empty.  From the
 cluster sizes alone one reads off the sign eps, the index p - q of the
 invariant form, per-root local indices, the cluster-group index sums and
-the Lorentzian classification.  Everything is exact: root ordering is
-decided by interval refinement, never by floating point.
+the Lorentzian classification.  Everything is exact, and nothing is
+floating point: roots are ordered by the integer rank keys of
+``polyring.roots`` (the catalog roots by j/k, a residual root by its slot
+among them), so a pair without residual roots in a shared slot is split at
++-2 and merged without comparing algebraic numbers at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 
-from .polyring import IntPoly, isolate_real_roots, resultant
-from .polyring.roots import AlgebraicReal
+from .polyring import IntPoly
+from .polyring.roots import AlgebraicReal, endpoint_keys, rank_sorted, ranked_roots, split_resultant
 
 
 @dataclass(frozen=True)
@@ -101,54 +103,51 @@ class IndexData:
 def compute_trace_clusters(Phi: IntPoly, Psi: IntPoly, rank_parity: str = "even") -> TraceClusters:
     """Exact interlacing decomposition of the roots of Phi * Psi on [-2, 2].
 
-    Rejects pairs with a common root.  For even rank parity with no Psi root
-    on [-2, 2] the cluster structure is undefined and a marker value with
-    s = None is returned.  The roots of both come from
-    ``isolate_real_roots``, whose cache splits off catalog factors.
+    Rejects pairs with a common root, by the resultant from Phi's catalog
+    split.  For even rank parity with no Psi root on [-2, 2] the cluster
+    structure is undefined and a marker value with s = None is returned.
+    The roots come from ``ranked_roots``; their keys decide the split at
+    +-2 (a residual root is never +-2, as CT_1 and CT_2 are catalog factors)
+    and the merge, where exact comparison only breaks a tie between two
+    residual roots in one slot.
     """
     if rank_parity not in ("even", "odd"):
         raise ValueError("rank_parity must be 'even' or 'odd'")
-    if Phi.degree >= 1 and Psi.degree >= 1 and resultant(Phi, Psi) == 0:
+    if Phi.degree >= 1 and Psi.degree >= 1 and split_resultant(Phi, Psi) == 0:
         raise ValueError("Phi and Psi share a root; clusters are undefined")
+    key_neg2, key_2 = endpoint_keys()
     at = {2: 0, -2: 0}  # multiplicities at the endpoints, Phi and Psi together
 
-    def split(roots, poly):
+    def split(poly, side):
         on, gt2, below = [], 0, 0
-        for r in roots:
-            c2 = r.compare(2)
-            if c2 > 0:
+        for key, r in ranked_roots(poly) if poly.degree >= 1 else ():
+            if key > key_2:
                 gt2 += r.multiplicity
-                continue
-            c_neg2 = r.compare(-2)
-            if c_neg2 < 0:
+            elif key < key_neg2:
                 below += r.multiplicity
-                continue
-            on.append(r)
-            if c2 == 0:
-                at[2] += r.multiplicity
-            elif c_neg2 == 0:
-                at[-2] += r.multiplicity
-        off_total = (poly.degree if poly.degree >= 0 else 0) - sum(r.multiplicity for r in on)
+            else:
+                on.append((key, r, side))
+                if key == key_2:
+                    at[2] += r.multiplicity
+                elif key == key_neg2:
+                    at[-2] += r.multiplicity
+        off_total = (poly.degree if poly.degree >= 0 else 0) - sum(r.multiplicity for _k, r, _s in on)
         return on, gt2, below, off_total
 
-    a_on, a_gt2, a_lt2, a_off = split(isolate_real_roots(Phi) if Phi.degree >= 1 else [], Phi)
-    b_on, b_gt2, b_lt2, b_off = split(isolate_real_roots(Psi) if Psi.degree >= 1 else [], Psi)
+    a_on, a_gt2, a_lt2, a_off = split(Phi, "A")
+    b_on, b_gt2, b_lt2, b_off = split(Psi, "B")
     mult2, mult_neg2 = at[2], at[-2]
+    a_roots = tuple(r for _k, r, _s in a_on)
+    b_roots = tuple(r for _k, r, _s in b_on)
 
     if not b_on and rank_parity == "even":
         return TraceClusters(None, (), (), a_gt2, b_gt2, a_lt2, b_lt2, a_off, b_off,
-                             rank_parity, mult2, mult_neg2, tuple(a_on), tuple(b_on))
+                             rank_parity, mult2, mult_neg2, a_roots, b_roots)
 
-    # merge on-interval roots in decreasing order; coprimality makes every
-    # comparison terminate
-    merged = sorted(
-        [("A", r) for r in a_on] + [("B", r) for r in b_on],
-        key=cmp_to_key(lambda x, y: y[1].compare(x[1])),
-    )
     a_clusters: list[tuple] = [()]
     b_clusters: list[tuple] = []
     side_now = "A"
-    for side, r in merged:
+    for _key, r, side in reversed(rank_sorted(a_on + b_on)):  # on-interval roots, decreasing
         if side == side_now:
             idx = a_clusters if side == "A" else b_clusters
             idx[-1] = idx[-1] + (r,)
@@ -171,7 +170,7 @@ def compute_trace_clusters(Phi: IntPoly, Psi: IntPoly, rank_parity: str = "even"
             raise AssertionError("interlacing bookkeeping failed")
     return TraceClusters(s, tuple(a_clusters), tuple(b_clusters), a_gt2, b_gt2,
                          a_lt2, b_lt2, a_off, b_off, rank_parity, mult2, mult_neg2,
-                         tuple(a_on), tuple(b_on))
+                         a_roots, b_roots)
 
 
 def epsilon_sign(tc: TraceClusters) -> int:

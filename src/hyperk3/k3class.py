@@ -29,12 +29,10 @@ from .polyring import (
     classify_product,
     is_unramified,
     pair_from_trace,
-    resultant,
-    squarefree_decomposition,
     trace_poly,
     trace_polynomial_pair,
 )
-from .polyring.roots import AlgebraicReal
+from .polyring.roots import AlgebraicReal, split_resultant, split_squarefree
 
 RANK = 22
 
@@ -320,12 +318,12 @@ def antipode_pair(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
 
 
 def _all_roots_simple(f: IntPoly) -> bool:
-    return all(m == 1 for _p, m in squarefree_decomposition(f))
+    return all(m == 1 for _p, m in split_squarefree(f))
 
 
 def _phi_multiple_root_ok(Phi: IntPoly) -> bool:
     """At most one multiple root, integral, of multiplicity 2 or 3."""
-    bad = [(p, m) for p, m in squarefree_decomposition(Phi) if m > 1]
+    bad = [(p, m) for p, m in split_squarefree(Phi) if m > 1]
     if not bad:
         return True
     if len(bad) > 1:
@@ -359,13 +357,14 @@ def trace_certificate_explain(Phi: IntPoly, Psi: IntPoly, side: str):
 
     Precondition: unimodularity, |Psi(+-2)| = |Res(Phi, Psi)| = 1, decided by
     ``is_unimodular`` for outside input and by ``search._qualifying`` for the
-    scans.  A cheap guard (clustering needs that resultant anyway) raises
-    ValueError on a pair that fails it.  phi, psi are rebuilt only on a match.
+    scans.  A cheap guard raises ValueError on a pair that fails it; it reads
+    Res(Phi, Psi) from Phi's catalog split, as clustering does.  phi, psi are
+    rebuilt only on a match.
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
     if not (Phi.degree == RANK // 2 - 1 and Psi.degree == RANK // 2
-            and is_unramified(Psi) and abs(resultant(Phi, Psi)) == 1):
+            and is_unramified(Psi) and abs(split_resultant(Phi, Psi)) == 1):
         raise ValueError("not the trace pair of a unimodular pair of rank 22")
     reason = "no matching configuration"
     for antipode in (False, True):

@@ -430,16 +430,26 @@ def palindrome_class(f: IntPoly) -> str:
     return "neither"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # bounded: an uncached call costs O(j^2) operations, a cached one none
 def pair_power(j: int) -> IntPoly:
     """P_j with P_j(z + 1/z) = z^j + z^-j: P_0 = 2, P_1 = w, P_{j+1} = w P_j - P_{j-1}."""
     if j < 0:
         raise ValueError("negative index")
-    if j == 0:
-        return IntPoly.const(2)
-    if j == 1:
-        return IntPoly.variable()
-    return IntPoly.variable() * pair_power(j - 1) - pair_power(j - 2)
+    for p in _pair_powers(j):
+        pass
+    return IntPoly(p)
+
+
+def _pair_powers(n: int):
+    """The coefficient lists of P_0 .. P_n, built by the recurrence one after another."""
+    prev, cur = [2], [0, 1]
+    yield prev
+    for _ in range(n):
+        yield cur
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
 
 
 def trace_poly(f: IntPoly) -> IntPoly:
@@ -447,25 +457,26 @@ def trace_poly(f: IntPoly) -> IntPoly:
 
     A palindromic f has z^-d f = f_d + sum_(j=1..d) f_(d+j) (z^j + z^-j), and
     z^j + z^-j = P_j(z + 1/z) (see pair_power), so F = f_d + sum_j f_(d+j) P_j:
-    O(d^2) integer operations over the cached P_j.
+    O(d^2) integer operations, with the P_j made in turn by the recurrence.
     """
     if palindrome_class(f) != "palindromic" or f.degree % 2 != 0:
         raise ValueError("trace polynomial needs a palindromic polynomial of even degree")
     d = f.degree // 2
     out = [0] * (d + 1)
     out[0] = f.coeffs[d]
-    for j in range(1, d + 1):
-        c = f.coeffs[d + j]
+    for j, p in enumerate(_pair_powers(d)):
+        c = f.coeffs[d + j] if j else 0
         if c:
-            for i, p in enumerate(pair_power(j).coeffs):
-                out[i] += c * p
+            for i, x in enumerate(p):
+                out[i] += c * x
     return IntPoly(out)
 
 
 def palindromic_expand(F: IntPoly) -> IntPoly:
     """z^deg(F) * F(z + 1/z), the palindromic polynomial with trace polynomial F.
 
-    With d = deg F, z^d (z + 1/z)^j = sum_i comb(j, i) z^(d-j+2i).
+    With d = deg F, z^d (z + 1/z)^j = sum_i comb(j, i) z^(d-j+2i); each
+    binomial comes from the one before it, comb(j, i+1) = comb(j, i) (j-i)/(i+1).
     """
     if F.is_zero():
         return F
@@ -474,7 +485,8 @@ def palindromic_expand(F: IntPoly) -> IntPoly:
     for j, a in enumerate(F.coeffs):
         if a:
             for i in range(j + 1):
-                out[d - j + 2 * i] += a * math.comb(j, i)
+                out[d - j + 2 * i] += a
+                a = a * (j - i) // (i + 1)
     return IntPoly(out)
 
 

@@ -1,4 +1,4 @@
-"""Exact real-root isolation and real algebraic numbers.
+"""Exact real-root isolation, real algebraic numbers, and root ranks.
 
 Roots are isolated with integer Sturm sequences (pseudo-remainders scaled by
 positive factors only, so sign variations are preserved without fractions)
@@ -6,24 +6,41 @@ and refined by sign bisection.  An ``AlgebraicReal`` is a squarefree
 defining polynomial plus an open rational isolating interval; every
 comparison below is decided exactly, never numerically.
 
-There is one isolation path, ``isolate_real_roots``, and it runs once per
-polynomial: one bounded cache keeps each polynomial's roots, refined to
-width 2^-20, and every call returns fresh copies of them.  A copy's
-isolating interval shrinks as comparisons refine it, so each caller owns its
-roots and no call sees another's refinement.  On a miss, each squarefree
-part sheds the factors of the closed catalog (the 41 CT_k of degree <= 10
-and LT) by exact division; their roots come from a table isolated once per
-factor, and only the residual goes through Sturm.
+Every polynomial is first split over the closed catalog, the 41 CT_k of
+degree <= 10 and LT: a bounded cache gives each catalog factor's
+multiplicity, found by exact division behind a probe-value prefilter, and
+the residual.  Roots are ordered by integer rank keys, not by comparison.
+The roots of CT_k are 2cos(2 pi j/k), so comparing j/k by integer
+cross-multiplication orders every CT root, and LT's five roots are placed
+among them once by exact comparison.  Only the residual goes through Yun
+and Sturm, and each residual root is placed once, by binary search, in the
+slot between two catalog roots.  Two roots of coprime polynomials then
+compare by their keys, unless both are residual roots in one slot: only
+that tie is left to exact comparison.
+
+There is one isolation path, ``ranked_roots`` (``isolate_real_roots`` drops
+the keys), and it runs once per polynomial: one bounded cache keeps each
+polynomial's roots, refined to width 2^-20, with their keys, and every call
+returns fresh copies.  A copy's isolating interval shrinks as
+comparisons refine it, so each caller owns its roots and no call sees
+another's refinement.  A root reports as ``minpoly`` the squarefree part of
+its polynomial that ``squarefree_decomposition`` gives for its multiplicity,
+sign included; exact work needs only the catalog factor or residual part
+that isolates the root, so the squarefree part is looked up only when
+``minpoly`` is read.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 from .atoms import lehmer_trace
 from .poly import (IntPoly, cyclotomic_indices_up_to_degree, cyclotomic_trace, poly_gcd,
-                   squarefree_decomposition)
+                   resultant, squarefree_decomposition)
 
 
 def _sturm_chain(f: IntPoly) -> list[IntPoly]:
@@ -131,10 +148,12 @@ class AlgebraicReal:
     The defining polynomial need not be irreducible, only squarefree with a
     single root in the open interval (whose endpoints are never roots).
     ``multiplicity`` records the multiplicity in the originating, possibly
-    non-squarefree polynomial.
+    non-squarefree polynomial.  Exact work uses ``_poly``; a root from the
+    isolation cache may carry in ``_source`` the (coefficients, multiplicity)
+    whose squarefree part ``minpoly`` reports, found on first use.
     """
 
-    __slots__ = ("minpoly", "multiplicity", "_lo", "_hi")
+    __slots__ = ("_poly", "_source", "multiplicity", "_lo", "_hi")
 
     def __init__(self, minpoly: IntPoly, interval, multiplicity: int = 1):
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
@@ -144,19 +163,28 @@ class AlgebraicReal:
             raise ValueError("interval endpoint is a root of the defining polynomial")
         if sturm_root_count(minpoly, lo, hi) != 1:
             raise ValueError("interval does not isolate exactly one root")
-        object.__setattr__(self, "minpoly", minpoly)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        self._narrow(lo, hi)
+        _init(self, minpoly, None, multiplicity, lo, hi)
 
     @classmethod
     def _trusted(cls, minpoly: IntPoly, lo: Fraction, hi: Fraction,
-                 multiplicity: int) -> "AlgebraicReal":
+                 multiplicity: int, source: tuple | None = None) -> "AlgebraicReal":
         """An instance on an interval the caller has proved isolating; no checks."""
         out = object.__new__(cls)
-        object.__setattr__(out, "minpoly", minpoly)
-        object.__setattr__(out, "multiplicity", multiplicity)
-        out._narrow(lo, hi)
+        _init(out, minpoly, source, multiplicity, lo, hi)
         return out
+
+    def _copy(self) -> "AlgebraicReal":
+        return AlgebraicReal._trusted(self._poly, self._lo, self._hi, self.multiplicity, self._source)
+
+    @property
+    def minpoly(self) -> IntPoly:
+        """The defining polynomial (for a root of a product: its squarefree part)."""
+        if self._source is not None:
+            coeffs, mult = self._source
+            part = next(p for p, m in squarefree_decomposition(IntPoly(coeffs)) if m == mult)
+            object.__setattr__(self, "_poly", part)
+            object.__setattr__(self, "_source", None)
+        return self._poly
 
     def __setattr__(self, *a):
         raise AttributeError("AlgebraicReal is immutable")
@@ -181,10 +209,10 @@ class AlgebraicReal:
 
     def _bisect_once(self) -> None:
         lo, hi = self._lo, self._hi
-        mid = _nonroot_near(self.minpoly, (lo + hi) / 2)
+        mid = _nonroot_near(self._poly, (lo + hi) / 2)
         if not lo < mid < hi:
             return
-        if self.minpoly.sign_at(lo) * self.minpoly.sign_at(mid) < 0:
+        if self._poly.sign_at(lo) * self._poly.sign_at(mid) < 0:
             self._narrow(lo, mid)
         else:
             self._narrow(mid, hi)
@@ -198,7 +226,7 @@ class AlgebraicReal:
     def refined(self, width) -> "AlgebraicReal":
         """A copy whose isolating interval is narrower than ``width``."""
         self.refine_to(width)
-        return AlgebraicReal._trusted(self.minpoly, self._lo, self._hi, self.multiplicity)
+        return self._copy()
 
     def approx(self, width=Fraction(1, 10 ** 12)) -> Fraction:
         self.refine_to(width)
@@ -221,34 +249,34 @@ class AlgebraicReal:
 
     # -- exact comparisons --------------------------------------------------
 
-    def _cmp_rational(self, x: Fraction) -> int:
-        if x <= self._lo:
+    def _cmp_rational(self, x: int | Fraction) -> int:
+        if _le(x, self._lo):
             return 1
-        if x >= self._hi:
+        if _le(self._hi, x):
             return -1
-        s = self.minpoly.sign_at(x)
+        s = self._poly.sign_at(x)
         if s == 0:
             return 0
-        # sign of minpoly at x against its sign just left of the root
-        lo_sign = self.minpoly.sign_at(self._lo)
+        # sign of the defining polynomial at x against its sign just left of the root
+        lo_sign = self._poly.sign_at(self._lo)
         return 1 if s == lo_sign else -1
 
     def compare(self, other) -> int:
         """-1, 0, +1 comparison, decided exactly."""
-        if isinstance(other, (int, Fraction)):
-            return self._cmp_rational(Fraction(other))
         if not isinstance(other, AlgebraicReal):
+            if isinstance(other, (int, Fraction)):
+                return self._cmp_rational(other)
             raise TypeError(f"cannot compare AlgebraicReal with {type(other).__name__}")
         if other is self:
             return 0
         g = None
         while True:
-            if self._hi <= other._lo:
+            if _le(self._hi, other._lo):
                 return -1
-            if other._hi <= self._lo:
+            if _le(other._hi, self._lo):
                 return 1
             if g is None:
-                g = _gcd_cached(self.minpoly.coeffs, other.minpoly.coeffs)
+                g = _gcd_cached(self._poly.coeffs, other._poly.coeffs)
             if g.degree > 0:
                 lo = max(self._lo, other._lo)
                 hi = min(self._hi, other._hi)
@@ -298,7 +326,7 @@ class AlgebraicReal:
         """Whether p vanishes at this number (exact)."""
         if p.is_zero():
             return True
-        g = poly_gcd(self.minpoly, p)
+        g = poly_gcd(self._poly, p)
         if g.degree <= 0:
             return False
         return open_root_count(g, self._lo, self._hi) >= 1
@@ -324,6 +352,21 @@ class AlgebraicReal:
         return f"AlgebraicReal({self.minpoly.format('x')}, ({lo:.6g}, {hi:.6g}), mult={self.multiplicity})"
 
 
+def _le(x: int | Fraction, y: int | Fraction) -> bool:
+    """x <= y for rationals, by one integer cross-multiplication."""
+    return x.numerator * y.denominator <= y.numerator * x.denominator
+
+
+def _init(r: AlgebraicReal, poly: IntPoly, source, multiplicity: int,
+          lo: Fraction, hi: Fraction) -> None:
+    put = object.__setattr__
+    put(r, "_poly", poly)
+    put(r, "_source", source)
+    put(r, "multiplicity", multiplicity)
+    put(r, "_lo", lo)
+    put(r, "_hi", hi)
+
+
 def is_salem_trace(t: IntPoly) -> bool:
     """Squarefree with all roots real, exactly one above 2, the rest in (-2, 2).
 
@@ -347,68 +390,243 @@ _CACHE_WIDTH = Fraction(1, 2 ** 20)
 def isolate_real_roots(f: IntPoly) -> list[AlgebraicReal]:
     """All distinct real roots of f, sorted increasing, with multiplicities.
 
-    Multiplicities come from the squarefree (Yun) decomposition; isolating
+    Multiplicities are those of the squarefree decomposition; isolating
     intervals are pairwise disjoint across the whole list.  The roots are
     new objects on every call, so the caller may refine them freely.
+    """
+    return [r for _key, r in ranked_roots(f)]
+
+
+def ranked_roots(f: IntPoly) -> list[tuple[int, AlgebraicReal]]:
+    """isolate_real_roots(f) with each root's rank key, as (key, root) pairs.
+
+    Keys order roots across polynomials: an odd key 2p + 1 is the catalog
+    root of rank p, an even key 2s a residual root with s catalog roots
+    below it.  Equal keys of coprime polynomials are two residual roots in
+    one slot, which only exact comparison orders (``rank_sorted``).
     """
     if f.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     if f.degree < 1:
         return []
-    return [AlgebraicReal._trusted(r.minpoly, r._lo, r._hi, r.multiplicity)
-            for r in _isolation_cache(f.coeffs)]
+    split, entries = _isolation_cache(f.coeffs)
+    return [(key, AlgebraicReal._trusted(r._poly, r._lo, r._hi, mult,
+                                         (f.coeffs, mult) if split else None))
+            for key, r, mult in entries]
+
+
+def endpoint_keys() -> tuple[int, int]:
+    """The rank keys of -2 and 2, the roots of CT_2 and CT_1."""
+    ranks = _catalog_ranks()[0]
+    return 2 * ranks[1][0] + 1, 2 * ranks[0][0] + 1
+
+
+def rank_sorted(items: list) -> list:
+    """(key, root, ...) items of coprime polynomials in increasing order of their roots.
+
+    The key decides, and exact comparison orders only a run of equal keys:
+    residual roots in one slot.
+    """
+    items = sorted(items, key=itemgetter(0))
+    if len({item[0] for item in items}) == len(items):
+        return items
+    out = []
+    for _key, run in groupby(items, key=itemgetter(0)):
+        out += sorted(run, key=cmp_to_key(lambda a, b: a[1].compare(b[1])))
+    return out
 
 
 @lru_cache(maxsize=128)
 def _isolation_cache(coeffs: tuple) -> tuple:
-    decomposition = squarefree_decomposition(IntPoly(coeffs))
-    roots: list[AlgebraicReal] = []
-    for part, mult in decomposition:
-        rest, at = part, part(_PROBE)
-        for factor, value in _catalog():
-            if factor.degree <= rest.degree and at % value == 0:
-                quot, rem = rest.divmod_exact(factor)
-                if not rem:
-                    rest, at = quot, at // value
-                    roots.extend(AlgebraicReal._trusted(r.minpoly, r._lo, r._hi, mult)
-                                 for r in _catalog_roots(factor.coeffs))
-        roots.extend(_isolate_squarefree(rest, mult))
-    # Disjoint intervals around the roots of coprime factors isolate each
-    # root within its whole squarefree part, which its multiplicity names.
-    part_of = {mult: part for part, mult in decomposition}
-    return tuple(AlgebraicReal._trusted(part_of[r.multiplicity], r._lo, r._hi, r.multiplicity)
-                 for r in _separated(roots))
+    """(split, entries): whether the polynomial has catalog factors, and its
+    roots, increasing, as (key, root, multiplicity).
+
+    Its catalog roots come from the factor tables with their ranks, and its
+    residual's roots from the residual's own entry.  Those roots are shared:
+    ``ranked_roots`` copies each one, as a root of this polynomial when it
+    was split.
+    """
+    factors, rest = _split(coeffs)
+    if not factors:
+        roots = [r for part, mult in squarefree_decomposition(IntPoly(coeffs))
+                 for r in _isolate_squarefree(part, mult)]
+        for r in roots:
+            r.refine_to(_CACHE_WIDTH)
+        return False, _separated([(2 * _count_below(r), r, r.multiplicity) for r in roots])
+    catalog, ranks = _catalog(), _catalog_ranks()[0]
+    entries = [(2 * rank + 1, r, mult)
+               for i, mult in factors
+               for rank, r in zip(ranks[i], _catalog_roots(catalog[i][0].coeffs))]
+    if rest.degree >= 1:
+        # coprime to the catalog part, so each root keeps its multiplicity
+        entries += _isolation_cache(rest.coeffs)[1]
+    return True, _separated(entries)
+
+
+def _separated(entries: list) -> tuple:
+    """Sort refined (key, root, multiplicity) entries by rank, and bisect copies of
+    neighbours until their intervals are disjoint.  Catalog roots, the odd
+    keys, are disjoint already.  Disjoint intervals around the roots of
+    coprime factors isolate each root within its whole squarefree part,
+    which its multiplicity names."""
+    entries = rank_sorted(entries)
+    for n in range(len(entries) - 1):
+        (k, a, ma), (l, b, mb) = entries[n], entries[n + 1]
+        if k & l & 1 or _le(a._hi, b._lo):
+            continue
+        a, b = a._copy(), b._copy()
+        while not _le(a._hi, b._lo):
+            a._bisect_once()
+            b._bisect_once()
+        entries[n], entries[n + 1] = (k, a, ma), (l, b, mb)
+    return tuple(entries)
 
 
 # Every catalog root lies in (-3, 3), so no catalog factor vanishes at
-# _PROBE, and a factor that divides a part divides its value there.
+# _PROBE, and a factor that divides a polynomial divides its value there.
 _PROBE = 2 ** 64
 
 
 @lru_cache(maxsize=1)
 def _catalog() -> tuple:
-    """(factor, factor(_PROBE)) for the 41 CT_k of degree <= 10 and LT."""
+    """(factor, factor(_PROBE)) for the 41 CT_k of degree <= 10 and LT, in that order."""
     factors = [cyclotomic_trace(k) for k in cyclotomic_indices_up_to_degree(10)] + [lehmer_trace()]
     return tuple((f, f(_PROBE)) for f in factors)
 
 
+@lru_cache(maxsize=128)
+def _split(coeffs: tuple) -> tuple:
+    """((catalog index, multiplicity), ...) and the residual of a polynomial.
+
+    A catalog factor is tried only where its value at _PROBE divides the
+    polynomial's, and is divided out as often as it divides exactly.  The
+    factors are irreducible, so the residual is coprime to all of them.
+    """
+    at = IntPoly(coeffs)(_PROBE)
+    catalog = _catalog()
+    rest = list(coeffs)
+    found = []
+    for i in [i for i, (_f, value) in enumerate(catalog) if at % value == 0]:
+        factor, value = catalog[i]
+        mult = 0
+        while at % value == 0 and (quot := _divide_monic(rest, factor.coeffs)) is not None:
+            rest, at, mult = quot, at // value, mult + 1
+        if mult:
+            found.append((i, mult))
+    return tuple(found), IntPoly(rest)
+
+
+def _divide_monic(a: list, b: tuple) -> list | None:
+    """The quotient of coefficient lists a / b for monic b, or None if b does not divide a."""
+    if len(a) < len(b):
+        return None
+    rem = list(a)
+    db = len(b) - 1
+    quot = [0] * (len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        q = quot[i] = rem[i + db]
+        if q:
+            for j in range(db):
+                rem[i + j] -= q * b[j]
+    return quot if not any(rem[:db]) else None
+
+
+def split_squarefree(f: IntPoly) -> tuple[tuple[IntPoly, int], ...]:
+    """f's squarefree decomposition from its catalog split: Yun runs on the residual only.
+
+    The parts, by increasing multiplicity, are primitive with positive
+    leading coefficients; ``squarefree_decomposition`` gives the same parts
+    up to sign.
+    """
+    factors, rest = _split(f.coeffs)
+    parts = {m: (p if p.leading() > 0 else -p) for p, m in squarefree_decomposition(rest)}
+    for i, m in factors:
+        parts[m] = parts.get(m, IntPoly.one()) * _catalog()[i][0]
+    return tuple((parts[m], m) for m in sorted(parts))
+
+
+def split_resultant(f: IntPoly, g: IntPoly) -> int:
+    """Res(f, g) from f's catalog split: the product of Res(factor, g)^multiplicity,
+    one cached resultant per factor, and Res(residual, g).  Res is
+    multiplicative in its first argument."""
+    factors, rest = _split(f.coeffs)
+    out = resultant(rest, g)
+    known = _factor_resultants(g.coeffs)
+    for i, m in factors:
+        if i not in known:
+            known[i] = resultant(_catalog()[i][0], g)
+        out *= known[i] ** m
+    return out
+
+
+@lru_cache(maxsize=32)
+def _factor_resultants(g_coeffs: tuple) -> dict:
+    """Res(catalog factor i, g) by i, for one g, filled in as factors are met."""
+    return {}
+
+
 @lru_cache(maxsize=64)
 def _catalog_roots(coeffs: tuple) -> tuple:
-    """A catalog factor's roots, isolated once; only copies leave this table."""
-    return tuple(_separated(_isolate_squarefree(IntPoly(coeffs), 1)))
+    """A catalog factor's roots, increasing, isolated once; only copies leave this table.
 
-
-def _separated(roots: list[AlgebraicReal]) -> list[AlgebraicReal]:
-    """Sort roots increasing in place, bisect until neighbours' intervals are
-    disjoint, then refine each to _CACHE_WIDTH."""
-    roots.sort(key=cmp_to_key(lambda a, b: a.compare(b)))
-    for a, b in zip(roots, roots[1:]):
-        while not a._hi <= b._lo:
-            a._bisect_once()
-            b._bisect_once()
+    One Sturm isolation gives disjoint intervals, so they sort by endpoint.
+    """
+    roots = sorted(_isolate_squarefree(IntPoly(coeffs), 1), key=lambda r: r._lo)
     for r in roots:
         r.refine_to(_CACHE_WIDTH)
-    return roots
+    return tuple(roots)
+
+
+@lru_cache(maxsize=1)
+def _catalog_ranks() -> tuple:
+    """(ranks, ordered): the ranks of each catalog factor's increasing roots,
+    and all 230 catalog roots in increasing order.  Built on first use.
+
+    CT_1 and CT_2 have the roots 2 and -2; for k >= 3 the roots of CT_k are
+    2cos(2 pi j/k) with gcd(j, k) = 1 and 0 < j < k/2.  A larger j/k is a
+    smaller root, so the integer order of the j/k orders every CT root.
+    LT's five roots are placed among them by exact comparison.  The
+    intervals, in rank order, must then be disjoint and increasing, which
+    proves the order.
+    """
+    catalog = _catalog()
+    tables = [_catalog_roots(f.coeffs) for f, _v in catalog]
+    fractions = []  # (j/k, factor index, root index)
+    for i, k in enumerate(cyclotomic_indices_up_to_degree(10)):
+        js = [Fraction(j, k) for j in range(k // 2 + 1) if math.gcd(j, k) == 1]
+        if len(js) != len(tables[i]):
+            raise ArithmeticError(f"CT_{k} does not have its phi(k)/2 real roots")
+        fractions += [(q, i, t) for t, q in enumerate(sorted(js, reverse=True))]
+    seq = [(i, t) for _q, i, t in sorted(fractions, reverse=True)]
+    ct_roots = [tables[i][t] for i, t in seq]
+    lt = len(catalog) - 1
+    for t in reversed(range(len(tables[lt]))):  # from the top, so earlier slots stay put
+        seq.insert(_count_below(tables[lt][t], ct_roots), (lt, t))
+    ranks = [[0] * len(t) for t in tables]
+    for p, (i, t) in enumerate(seq):
+        ranks[i][t] = p
+    ordered = tuple(tables[i][t] for i, t in seq)
+    if not all(_le(a._hi, b._lo) for a, b in zip(ordered, ordered[1:])):
+        raise ArithmeticError("catalog ranks disagree with the isolating intervals")
+    return tuple(map(tuple, ranks)), ordered
+
+
+def _count_below(root: AlgebraicReal, ordered=None) -> int:
+    """How many of the increasing catalog roots (or ``ordered``) lie below a
+    root that is none of them: a binary search comparing copies exactly."""
+    if ordered is None:
+        ordered = _catalog_ranks()[1]
+    lo, hi = 0, len(ordered)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        c = ordered[mid]._copy().compare(root._copy())
+        if c == 0:
+            raise ArithmeticError("a residual root equals a catalog root")
+        if c < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _isolate_squarefree(f: IntPoly, mult: int) -> list[AlgebraicReal]:

@@ -88,6 +88,12 @@ def enumerate_ct_products(target_degree: int, multiplicity_rule: str = "sets_onl
     return canon
 
 
+@lru_cache(maxsize=4)
+def _ct_products(target_degree: int, multiplicity_rule: str) -> tuple:
+    """enumerate_ct_products as a tuple, built once per degree and rule for the scans."""
+    return tuple(enumerate_ct_products(target_degree, multiplicity_rule))
+
+
 def _subsets_summing(catalog, target):
     """Distinct-index subsets with degree sum == target (ascending tuples)."""
     items = sorted(catalog)
@@ -175,7 +181,7 @@ def _qualifying(Psi: IntPoly, degree: int, multiplicity_rule: str):
     if not is_unramified(Psi):
         return []
     ok = {k: abs(resultant(cyclotomic_trace(k), Psi)) == 1 for k, _d in ct_catalog()}
-    return [m for m in enumerate_ct_products(degree, multiplicity_rule) if all(ok[k] for k in m)]
+    return [m for m in _ct_products(degree, multiplicity_rule) if all(ok[k] for k in m)]
 
 
 def _entry_key(e: SearchEntry):

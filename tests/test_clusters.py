@@ -19,11 +19,13 @@ from hyperk3.hyplattice import build_lattice, signature_oracle
 from hyperk3.polyring import (
     IntPoly,
     cyclotomic_trace,
+    isolate_real_roots,
     lehmer_trace,
     pair_from_trace,
     resultant,
     salem_trace_deg11,
 )
+from hyperk3.polyring.roots import split_resultant
 
 ONE = IntPoly.one()
 
@@ -247,3 +249,152 @@ def test_lorentz_classify_on_lattices():
         else:
             assert typ is None
     assert hits > 0
+
+
+# --- rank ordering against the exact merge ---------------------------------------
+
+
+def _old_split(poly, at):
+    """Reference: the old split at +-2 of isolate_real_roots(poly), by exact comparison."""
+    on, gt2, below = [], 0, 0
+    for r in isolate_real_roots(poly) if poly.degree >= 1 else []:
+        c2 = r.compare(2)
+        if c2 > 0:
+            gt2 += r.multiplicity
+            continue
+        c_neg2 = r.compare(-2)
+        if c_neg2 < 0:
+            below += r.multiplicity
+            continue
+        on.append(r)
+        if c2 == 0:
+            at[2] += r.multiplicity
+        elif c_neg2 == 0:
+            at[-2] += r.multiplicity
+    return on, gt2, below, max(poly.degree, 0) - sum(r.multiplicity for r in on)
+
+
+def _old_compute_trace_clusters(Phi, Psi, rank_parity="even", split=_old_split):
+    """Reference: the split at +-2 and the merge by exact comparison, as before rank keys."""
+    from functools import cmp_to_key
+
+    from hyperk3.clusters import TraceClusters
+
+    at = {2: 0, -2: 0}
+    a_on, a_gt2, a_lt2, a_off = split(Phi, at)
+    b_on, b_gt2, b_lt2, b_off = split(Psi, at)
+    if not b_on and rank_parity == "even":
+        return TraceClusters(None, (), (), a_gt2, b_gt2, a_lt2, b_lt2, a_off, b_off,
+                             rank_parity, at[2], at[-2], tuple(a_on), tuple(b_on))
+    merged = sorted([("A", r) for r in a_on] + [("B", r) for r in b_on],
+                    key=cmp_to_key(lambda x, y: y[1].compare(x[1])))
+    a_clusters, b_clusters, side_now = [()], [], "A"
+    for side, r in merged:
+        if side == side_now:
+            idx = a_clusters if side == "A" else b_clusters
+            idx[-1] = idx[-1] + (r,)
+        else:
+            (b_clusters if side == "B" else a_clusters).append((r,))
+            side_now = side
+    if rank_parity == "even":
+        if side_now == "B":
+            a_clusters.append(())
+    elif side_now == "A" or not b_clusters:
+        b_clusters.append(())
+    return TraceClusters(len(b_clusters), tuple(a_clusters), tuple(b_clusters), a_gt2, b_gt2,
+                         a_lt2, b_lt2, a_off, b_off, rank_parity, at[2], at[-2],
+                         tuple(a_on), tuple(b_on))
+
+
+def _same_roots(xs, ys):
+    """Equal values in the same order; equal intervals (one isolation) settle it at once."""
+    return len(xs) == len(ys) and all(
+        x.multiplicity == y.multiplicity and (x.interval == y.interval or x == y)
+        for x, y in zip(xs, ys))
+
+
+def _assert_clusters_match_old(Phi, Psi, parity="even", split=_old_split):
+    new = compute_trace_clusters(Phi, Psi, parity)
+    old = _old_compute_trace_clusters(Phi, Psi, parity, split)
+    fields = ("s", "a_gt2", "b_gt2", "a_lt2", "b_lt2", "a_off_total", "b_off_total",
+              "mult_at_2", "mult_at_neg2")
+    assert [getattr(new, f) for f in fields] == [getattr(old, f) for f in fields], (Phi, Psi)
+    for side in ("A", "B"):
+        assert new.cluster_sizes(side) == old.cluster_sizes(side), (Phi, Psi)
+    # with the sizes, the on-interval roots in order fix every cluster's roots
+    for got, want in ((new.a_on_roots, old.a_on_roots), (new.b_on_roots, old.b_on_roots)):
+        assert _same_roots(got, want), (Phi, Psi)
+
+
+def _scan_pairs():
+    """(Phi, Psi) of every deg22 (R_1..R_10), lehmerA and lehmerB scan candidate."""
+    from hyperk3.polyring import lehmer_nf
+    from hyperk3.search import _qualifying
+    from hyperk3.search import ct_product as scan_product
+
+    R = {i: salem_trace_deg11(i) for i in range(1, 11)}
+    pairs = [(scan_product(ms), R[i]) for i in R for ms in _qualifying(R[i], 10, "one_multiple_le3")]
+    pairs += [(lehmer_trace() * scan_product(ks), R[i]) for i in R
+              if abs(resultant(lehmer_trace(), R[i])) == 1
+              for ks in _qualifying(R[i], 5, "sets_only")]
+    pairs += [(scan_product(ms), lehmer_nf(i)) for i in range(1, 9)
+              for ms in _qualifying(lehmer_nf(i), 10, "one_multiple_le3")]
+    return pairs
+
+
+def test_rank_clusters_match_exact_merge_on_scan_candidates():
+    """Every scan candidate and its antipode: the rank keys give the exact merge's clusters,
+    and the catalog split gives the exact resultant and Yun's parts up to sign."""
+    from hyperk3.k3class import antipode_pair
+    from hyperk3.polyring import squarefree_decomposition
+    from hyperk3.polyring.roots import split_squarefree
+
+    def positive(parts):
+        return tuple((p if p.leading() > 0 else -p, m) for p, m in parts)
+
+    splits = {}  # the old split depends on the polynomial only: one per polynomial
+
+    def split_once(poly, at):
+        if poly.coeffs not in splits:
+            counts = {2: 0, -2: 0}
+            splits[poly.coeffs] = _old_split(poly, counts), counts
+        (on, gt2, below, off), counts = splits[poly.coeffs]
+        at[2], at[-2] = at[2] + counts[2], at[-2] + counts[-2]
+        return list(on), gt2, below, off
+
+    pairs = _scan_pairs()
+    assert len(pairs) > 9000
+    seen = set()
+    for pair in pairs:
+        for Phi, Psi in (pair, antipode_pair(*pair)):
+            _assert_clusters_match_old(Phi, Psi, split=split_once)
+            assert split_resultant(Phi, Psi) == resultant(Phi, Psi)
+            for f in (Phi, Psi):
+                if f.coeffs not in seen:
+                    seen.add(f.coeffs)
+                    assert split_squarefree(f) == positive(squarefree_decomposition(f)), f
+
+
+def test_rank_clusters_match_exact_merge_with_residual_roots():
+    """Pairs whose residual roots share slots, where exact comparison breaks the ties."""
+    rng = random.Random(77)
+    for _ in range(150):
+        Phi, Psi, _phi, _psi = random_trace_pair(rng, 6)
+        _assert_clusters_match_old(Phi, Psi)
+    for _ in range(60):
+        Phi, Psi, _phi, _psi = random_trace_pair(rng, 4, parity="odd")
+        _assert_clusters_match_old(Phi, Psi, "odd")
+    # residual factors beside catalog factors, on both sides of the pair; the roots
+    # +-sqrt(5/2), +-sqrt(2.501), +-sqrt(2.499) share two slots, as do +-sqrt(7/3), +-sqrt(7.01/3)
+    sqrt2, golden = IntPoly((-2, 0, 1)), IntPoly((-1, -1, 1))
+    s5, s5_up, s5_down = IntPoly((-5, 0, 2)), IntPoly((-2501, 0, 1000)), IntPoly((-2499, 0, 1000))
+    s7, s7_up = IntPoly((-7, 0, 3)), IntPoly((-701, 0, 300))
+    cases = [(ct_product([1, 8]) * sqrt2, IntPoly((-3, 0, 1)) * cyclotomic_trace(5)),
+             (golden * ct_product([2, 3]), lehmer_trace() * sqrt2 * IntPoly((1, 1, -1, 1))),
+             (sqrt2 * IntPoly((-2, 0, 0, 1)), golden * IntPoly((-7, 0, 4)) * cyclotomic_trace(7)),
+             (s5, s5_up), (s5, s5_down), (s5 * s7 * cyclotomic_trace(5), s5_up * s7_up),
+             (s5_up * s7, s5 * s5_down * s7_up * IntPoly((-3, 1)))]
+    for Phi, Psi in cases:
+        assert resultant(Phi, Psi) != 0
+        _assert_clusters_match_old(Phi, Psi)
+        _assert_clusters_match_old(Psi, Phi)

@@ -662,6 +662,122 @@ def test_isolation_matches_old_on_random():
             _assert_isolation_matches_old(f)
 
 
+# --- catalog split and root ranks -------------------------------------------------
+
+def _catalog_factors():
+    return [cyclotomic_trace(k) for k in cyclotomic_indices_up_to_degree(10)] + [lehmer_trace()]
+
+
+def test_catalog_closed_under_antipode():
+    """Each of the 41 CT_k, with w -> -w, is again one of them up to sign."""
+    cts = [cyclotomic_trace(k) for k in cyclotomic_indices_up_to_degree(10)]
+    assert len(cts) == 41
+    for f in cts:
+        g = _antipode(f)
+        assert g in cts or -g in cts, f
+
+
+def _frac_order_with_lt():
+    """All catalog roots, increasing, by j/k (a larger j/k is a smaller root),
+    LT's placed by exact comparison; each as (factor index, root index)."""
+    from math import gcd
+
+    ks = cyclotomic_indices_up_to_degree(10)
+    fracs = []
+    for i, k in enumerate(ks):
+        js = sorted((Fraction(j, k) for j in range(k // 2 + 1) if gcd(j, k) == 1), reverse=True)
+        assert len(js) == cyclotomic_trace(k).degree
+        fracs += [(q, i, t) for t, q in enumerate(js)]
+    order = [(i, t) for _q, i, t in sorted(fracs, reverse=True)]
+    roots_of = [isolate_real_roots(f) for f in _catalog_factors()]
+    ct_roots = [roots_of[i][t] for i, t in order]
+    for t in reversed(range(5)):
+        r = roots_of[len(ks)][t]
+        order.insert(sum(1 for c in ct_roots if c < r), (len(ks), t))
+    return order, roots_of
+
+
+def test_catalog_ranks_follow_j_over_k():
+    """The j/k order plus the placed LT roots is the exact order of all 230 catalog roots,
+    with -2 first, 2 next to last and LT's root above 2 last; the package's ranks agree."""
+    from hyperk3.polyring import roots
+
+    order, roots_of = _frac_order_with_lt()
+    assert len(order) == 230
+    exact = sorted(order, key=cmp_to_key(
+        lambda a, b: roots_of[a[0]][a[1]].compare(roots_of[b[0]][b[1]])))
+    assert exact == order
+    assert order[0] == (1, 0) and order[-2] == (0, 0) and order[-1] == (41, 4)
+    ranks = roots._catalog_ranks()[0]
+    assert [ranks[i][t] for i, t in order] == list(range(230))
+    assert roots.endpoint_keys() == (1, 2 * 228 + 1)
+
+
+def test_catalog_roots_are_far_apart():
+    """Adjacent catalog roots lie more than 2^-20 apart (about 1.3e-3 at the closest), so the
+    cached intervals, narrower than 2^-20, never overlap and ranks need no bisection."""
+    from hyperk3.polyring import roots
+
+    ordered = roots._catalog_ranks()[1]
+    width = Fraction(1, 2 ** 20)
+    assert all(r.interval[1] - r.interval[0] < width for r in ordered)
+    gaps = [b.interval[0] - a.interval[1] for a, b in zip(ordered, ordered[1:])]
+    assert min(gaps) > width
+    assert Fraction(1, 1000) < min(gaps) < Fraction(2, 1000)
+
+
+def test_split_reassembles_and_leaves_no_catalog_factor():
+    from hyperk3.polyring import roots
+
+    factors = _catalog_factors()
+    rng = random.Random(9)
+    polys = [IntPoly.one(), IntPoly.const(-6), salem_trace_deg11(3), lehmer_nf(5) * lehmer_nf(5)]
+    for _ in range(80):
+        f = IntPoly.const(rng.choice([1, -1, 2, 3]))
+        for _k in range(rng.randint(0, 4)):
+            f = f * rng.choice(factors) ** rng.randint(1, 3)
+        for _k in range(rng.randint(0, 2)):
+            f = f * IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1])
+        polys.append(f)
+    for f in polys:
+        found, rest = roots._split(f.coeffs)
+        product = rest
+        for i, m in found:
+            product = product * factors[i] ** m
+        assert product == f
+        assert all(not g.divides(rest) for g in factors if g.degree <= rest.degree)
+        assert [i for i, _m in found] == sorted({i for i, _m in found})
+
+
+def test_roots_report_the_yun_part_of_their_polynomial():
+    """A root of a product reports the part of squarefree_decomposition for its
+    multiplicity, sign included, though exact work uses the factor that isolates it."""
+    from hyperk3.search import ct_product
+
+    for f in (ct_product([6, 19]), ct_product([4, 4, 15, 30]), ct_product([1, 3, 3, 4, 9, 18]),
+              lehmer_trace() * cyclotomic_trace(3) ** 2 * IntPoly((-5, 0, 1))):
+        parts = dict((m, p) for p, m in squarefree_decomposition(f))
+        got = isolate_real_roots(f)
+        assert [r.minpoly for r in got] == [parts[r.multiplicity] for r in got]
+    # Yun's sign comes from the remainder sequence: here it is negative, which no
+    # product of the monic catalog factors gives, so minpoly cannot be recombined
+    assert any(p.leading() < 0 for p, _m in squarefree_decomposition(ct_product([6, 19])))
+
+
+def test_trace_poly_of_a_sparse_palindrome_of_high_degree():
+    """P_j is built by iteration, so trace_poly at degree 2400 and a cold pair_power(600),
+    which recursed 600 deep before, need no recursion at all."""
+    from hyperk3.polyring import pair_power, poly
+
+    poly.pair_power.cache_clear()
+    f = (IntPoly.monomial(2400, 1) + IntPoly.monomial(1700, 3) + IntPoly.monomial(1200, -5)
+         + IntPoly.monomial(700, 3) + IntPoly.one())
+    F = trace_poly(f)
+    assert F.degree == 1200
+    assert palindromic_expand(F) == f
+    assert trace_poly(IntPoly.monomial(1200, 1) + IntPoly.one()) == pair_power(600)
+
+
 # --- Newton sums and classification --------------------------------------------
 
 def test_newton_power_sums():
@@ -886,5 +1002,5 @@ def test_per_query_caches_are_bounded():
     for cached in (poly.resultant, poly.trace_polynomial_pair, poly.squarefree_decomposition,
                    poly._cyclotomic_standard, poly.cyclotomic_trace, roots._sf_chain,
                    roots._SF_CACHE, roots._gcd_cached, roots._isolation_cache,
-                   roots._catalog_roots):
+                   roots._catalog_roots, roots._split, roots._factor_resultants, poly.pair_power):
         assert cached.cache_info().maxsize is not None, cached.__name__

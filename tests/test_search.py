@@ -57,6 +57,21 @@ def test_enumerate_examples():
     assert set(enumerate_ct_products(10, "sets_only")) <= set(deg10)
 
 
+def test_scans_enumerate_once_per_degree_and_rule():
+    """_qualifying enumerates the multisets once per degree and rule; the public
+    enumeration still returns a fresh list, and the scans' candidates keep its order."""
+    search._ct_products.cache_clear()
+    for R in (salem_trace_deg11(3), salem_trace_deg11(8), lehmer_nf(2)):
+        got = _qualifying(R, 10, "one_multiple_le3")
+        ok = {k for k, _d in search.ct_catalog() if abs(resultant(cyclotomic_trace(k), R)) == 1}
+        assert got == [m for m in enumerate_ct_products(10, "one_multiple_le3") if set(m) <= ok]
+    info = search._ct_products.cache_info()
+    assert (info.misses, info.hits) == (1, 2) and info.maxsize is not None
+    first = enumerate_ct_products(10, "one_multiple_le3")
+    first.clear()
+    assert len(enumerate_ct_products(10, "one_multiple_le3")) == 7562
+
+
 def test_salem_traces_all_minus_one():
     for i in range(1, 11):
         assert salem_trace_deg11(i).trace() == -1
@@ -226,3 +241,43 @@ def test_scan_computes_no_rank22_check(monkeypatch, deg22_entries):
     entries = scan_deg22(7, jobs=1)
     assert [e.row() for e in entries] == [e.row() for e in deg22_entries[7]]
     assert entries and degrees and max(degrees) <= 11
+
+
+def test_rejected_candidates_compare_no_algebraic_numbers(monkeypatch):
+    """On scan_deg22(7), a rejected candidate makes no AlgebraicReal.compare call and runs
+    Yun on no polynomial with a catalog factor: ranks order its roots, the split finds
+    its multiplicities.  R7's own roots are placed among the catalog roots beforehand,
+    once per Psi."""
+    from hyperk3.polyring import IntPoly, isolate_real_roots, roots
+    from hyperk3.polyring.roots import AlgebraicReal
+
+    R7 = salem_trace_deg11(7)
+    isolate_real_roots(R7)
+    compares, yun = [], []
+    real_compare, real_yun = AlgebraicReal.compare, roots.squarefree_decomposition
+
+    def counting_compare(self, other):
+        compares.append(1)
+        return real_compare(self, other)
+
+    def recording_yun(f):
+        yun.append(f)
+        return real_yun(f)
+
+    monkeypatch.setattr(AlgebraicReal, "compare", counting_compare)
+    monkeypatch.setattr(roots, "squarefree_decomposition", recording_yun)
+    real_core, per_candidate = search.trace_certificate_explain, []
+
+    def core(Phi, Psi, side):
+        before = len(compares), len(yun)
+        out = real_core(Phi, Psi, side)
+        per_candidate.append((out[0] is None, len(compares) - before[0], yun[before[1]:]))
+        return out
+
+    monkeypatch.setattr(search, "trace_certificate_explain", core)
+    entries = scan_deg22(7, jobs=1)
+    rejected = [(n, parts) for is_rejected, n, parts in per_candidate if is_rejected]
+    assert len(per_candidate) == 272 and len(rejected) == 272 - len(entries) > 200
+    assert sum(n for n, _parts in rejected) == 0
+    assert all(f in (IntPoly.one(), R7) for _n, parts in rejected for f in parts)
+    assert sum(n for is_rejected, n, _parts in per_candidate if not is_rejected) > 0
