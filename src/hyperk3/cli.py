@@ -300,23 +300,17 @@ def cmd_scan(args):
         entries = scan_lehmer("B", jobs)
     else:
         raise CliError("--family must be deg22, lehmerA or lehmerB", 2)
-    rows = [e.row() for e in entries]
-    result = {
-        "family": args.family,
-        "entries": [
-            dict(zip(_scan_fields(e), e.row())) for e in entries
-        ],
-        "count": len(entries),
-    }
+    records = [dict(zip(_scan_fields(e), e.row())) for e in entries]
+    if args.format == "json":
+        # JSON-lines: one entry per line
+        for record in records:
+            print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        return None, None, None
     inputs = {"family": args.family}
     if args.psi:
         inputs["psi"] = args.psi
-    if args.format == "json":
-        # JSON-lines: one entry per line
-        for e in entries:
-            print(json.dumps(dict(zip(_scan_fields(e), e.row())),
-                             sort_keys=True, separators=(",", ":")))
-        return None, None, None
+    result = {"family": args.family, "entries": records, "count": len(entries)}
+    rows = [list(record.values()) for record in records]
     return _report(args, inputs, result), rows, ["\t".join(r) for r in rows]
 
 

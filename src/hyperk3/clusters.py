@@ -13,15 +13,18 @@ the Lorentzian classification.  Everything is exact, and nothing is
 floating point: roots are ordered by the integer rank keys of
 ``polyring.roots`` (the catalog roots by j/k, a residual root by its slot
 among them), so a pair without residual roots in a shared slot is split at
-+-2 and merged without comparing algebraic numbers at all.
++-2 and merged without comparing algebraic numbers at all.  The local
+indices come from that merge order too: walking the clusters from the +2
+end, the number of roots above each root is a running count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .polyring import IntPoly
-from .polyring.roots import AlgebraicReal, endpoint_keys, rank_sorted, ranked_roots, split_resultant
+from .polyring.roots import endpoint_keys, rank_sorted, ranked_roots, split_resultant
 
 
 @dataclass(frozen=True)
@@ -81,11 +84,7 @@ class TraceClusters:
     def signature_string(self, side: str) -> str:
         """The cluster pattern word, e.g. '0^2 1^7 2^1'."""
         pat = self.pattern(side)
-        parts = []
-        for size in sorted(pat):
-            count = pat[size]
-            parts.append(f"{size}^{count}" if count != 1 else f"{size}^1")
-        return " ".join(parts)
+        return " ".join(f"{size}^{pat[size]}" for size in sorted(pat))
 
 
 @dataclass(frozen=True)
@@ -231,45 +230,46 @@ def _assert_constraints(S, I_set, a_in, s, b_on, last_b_empty):
         raise AssertionError("s <= |B_on| broken")
 
 
-def _rho(tc: TraceClusters, tau) -> int:
-    """Number of real roots of Phi*Psi counted with multiplicity that exceed tau.
+def _local_indices(tc: TraceClusters):
+    """(root, side, local index) of every on-interval root, walking the merge order
+    A_1, B_1, A_2, ... (the no-clusters marker: its A roots, reversed) down from +2.
 
-    tau = 2 counts the roots >= 2 instead, per the local-index convention.
+    rho, the number of real roots above the root with multiplicity, is a running
+    count.  tau in A_on: (-1)^(rho+1); tau in B_on: (-1)^rho; even multiplicity
+    gives 0.  Hypergeometric normalization.
     """
-    on = list(tc.a_on_roots) + list(tc.b_on_roots)
-    if isinstance(tau, AlgebraicReal) or tau != 2:
-        count = sum(r.multiplicity for r in on if r > tau)
+    if tc.no_clusters:
+        runs = [("A", tuple(reversed(tc.a_on_roots)))]
     else:
-        count = sum(r.multiplicity for r in on if r >= 2)
-    return count + tc.a_gt2 + tc.b_gt2
+        runs = [run for pair in zip_longest(tc.a_clusters, tc.b_clusters, fillvalue=())
+                for run in zip("AB", pair)]
+    rho = tc.a_gt2 + tc.b_gt2
+    for side, cluster in runs:
+        for r in cluster:
+            yield r, side, 0 if r.multiplicity % 2 == 0 else (-1) ** (rho + (side == "A"))
+            rho += r.multiplicity
 
 
 def local_index(tc: TraceClusters, tau) -> int:
-    """Local index of the invariant form on the tau-eigenspace pair.
-
-    tau in A_on: (-1)^(rho+1); tau in B_on: (-1)^rho; even multiplicity
-    gives 0.  Hypergeometric normalization.
-    """
-    in_a = any(r == tau for r in tc.a_on_roots)
-    in_b = any(r == tau for r in tc.b_on_roots)
-    if not in_a and not in_b:
-        raise ValueError("tau is not an on-interval root of Phi or Psi")
-    mult = sum(r.multiplicity for r in (tc.a_on_roots if in_a else tc.b_on_roots) if r == tau)
-    if mult % 2 == 0:
-        return 0
-    rho = _rho(tc, tau)
-    return (-1) ** (rho + 1) if in_a else (-1) ** rho
+    """Local index of the invariant form on the tau-eigenspace pair, tau an on-interval root."""
+    for r, _side, idx in _local_indices(tc):
+        if r == tau:
+            return idx
+    raise ValueError("tau is not an on-interval root of Phi or Psi")
 
 
 def endpoint_index(tc: TraceClusters, at: int, rank: int) -> int:
     """idx at the eigenvalue 1 (at=+2) or -1 (at=-2) of the z-level matrix.
 
-    idx(1) = (-1)^rho(2);  idx(-1) = (-1)^(rho(-2) + n + 1).
+    idx(1) = (-1)^rho(2);  idx(-1) = (-1)^(rho(-2) + n + 1), where rho counts
+    the real roots >= 2, or > -2, with multiplicity: both from stored counts.
     """
+    above = tc.a_gt2 + tc.b_gt2
     if at == 2:
-        return (-1) ** _rho(tc, 2)
+        return (-1) ** (above + tc.mult_at_2)
     if at == -2:
-        return (-1) ** (_rho(tc, -2) + rank + 1)
+        on = sum(r.multiplicity for r in tc.a_on_roots + tc.b_on_roots)
+        return (-1) ** (above + on - tc.mult_at_neg2 + rank + 1)
     raise ValueError("endpoint must be +2 or -2")
 
 

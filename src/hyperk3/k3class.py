@@ -7,7 +7,9 @@ with the Picard number.
 
 Two independent determination paths are implemented and cross-asserted on
 every certificate: the cluster-pattern tables, and the uniqueness of the
-on-interval root with K3-normalized local index +1.
+on-interval root with K3-normalized local index +1.  The second is one pass
+over the roots in the clusters' merge order, which gives every local index
+by position, with no comparison between roots.
 Outside input enters at ``k3_certificate_explain`` (full ``is_unimodular``);
 the scans, unimodular by ``search._qualifying``, at ``trace_certificate_explain``.
 """
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 
 from .clusters import (
     TraceClusters,
+    _local_indices,
     compute_trace_clusters,
     endpoint_index,
     index,
-    local_index,
 )
 from .hyplattice import is_unimodular
 from .polyring import (
@@ -226,15 +228,8 @@ def special_trace_by_local_index(tc: TraceClusters, side: str, renormalized: boo
             raise ValueError("side A requires no root at -2")
         if flip * endpoint_index(tc, -2, RANK) != -1:
             raise ValueError("side A requires idx(-1) = -1 in K3 normalization")
-        pool = tc.a_on_roots
-    else:
-        pool = tc.b_on_roots
-    hits = []
-    for r in pool:
-        if r == 2 or r == -2:
-            continue
-        if flip * local_index(tc, r) == 1:
-            hits.append(r)
+    hits = [r for r, s, idx in _local_indices(tc)
+            if s == side and flip * idx == 1 and not (r == 2 or r == -2)]
     if len(hits) != 1:
         raise ValueError(f"expected a unique local-index +1 root, found {len(hits)}")
     return hits[0]

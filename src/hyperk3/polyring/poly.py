@@ -11,8 +11,9 @@ w = z + 1/z and its inverse expansion (both directions rest on one identity:
 for palindromic f of degree 2d, z^-d f = f_d + sum_(j=1..d) f_(d+j) P_j(w)
 with P_j(z + 1/z) = z^j + z^-j), resultants by the subresultant PRS,
 cyclotomic and cyclotomic-trace polynomials in both the standard and the
-squared convention, squarefree (Yun) decomposition, Newton power sums, and
-the cyclotomic/Salem factor classifier.
+squared convention, squarefree (Yun) decomposition, Newton power sums, the
+stripping of known monic factors (cyclotomics here, the root catalog in
+``roots``), and the cyclotomic/Salem factor classifier.
 """
 
 from __future__ import annotations
@@ -243,6 +244,8 @@ class IntPoly:
         return math.gcd(*self.coeffs) if self.coeffs else 0
 
     def primitive(self) -> "IntPoly":
+        """Divided by its content, and then with a positive leading coefficient if the
+        content was > 1; a content-1 or zero polynomial is returned as it is."""
         c = self.content()
         if c in (0, 1):
             return self
@@ -293,7 +296,8 @@ class IntPoly:
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd in Z[x] with positive leading coefficient."""
+    """Primitive gcd in Z[x], up to sign: the leading coefficient may be negative,
+    as ``primitive`` keeps a content-1 polynomial's sign (and so may Yun's parts)."""
     if f.is_zero():
         return g.primitive() if not g.is_zero() else IntPoly.zero()
     if g.is_zero():
@@ -664,6 +668,46 @@ def newton_power_sum(chi: IntPoly, m: int) -> int:
     return p[m]
 
 
+# Every root of a cyclotomic polynomial, of a CT_k or of LT has absolute value
+# below 3, so none of them vanishes at _PROBE, and a monic factor that divides
+# a polynomial divides its value there.
+_PROBE = 2 ** 64
+
+
+def _strip_factors(coeffs: tuple, factors) -> tuple[tuple[tuple[int, int], ...], IntPoly]:
+    """((index, multiplicity), ...) of the monic ``factors`` dividing a polynomial, and the residual.
+
+    ``factors`` holds (factor, factor(_PROBE)) pairs.  Each factor is divided
+    out exactly as often as it divides, tried only while its value at _PROBE
+    divides the polynomial's: most factors cost one integer remainder.
+    """
+    at = IntPoly(coeffs)(_PROBE)
+    rest = list(coeffs)
+    found = []
+    for i, (factor, value) in enumerate(factors):
+        mult = 0
+        while at % value == 0 and (quot := _divide_monic(rest, factor.coeffs)) is not None:
+            rest, at, mult = quot, at // value, mult + 1
+        if mult:
+            found.append((i, mult))
+    return tuple(found), IntPoly(rest)
+
+
+def _divide_monic(a: list, b: tuple) -> list | None:
+    """The quotient of coefficient lists a / b for monic b, or None if b does not divide a."""
+    if len(a) < len(b):
+        return None
+    rem = list(a)
+    db = len(b) - 1
+    quot = [0] * (len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        q = quot[i] = rem[i + db]
+        if q:
+            for j in range(db):
+                rem[i + j] -= q * b[j]
+    return quot if not any(rem[:db]) else None
+
+
 # ---------------------------------------------------------------------------
 # factor classification: cyclotomic / Salem / other
 # ---------------------------------------------------------------------------
@@ -722,23 +766,16 @@ def _salem_shape(g: IntPoly) -> bool:
 def classify_product(f: IntPoly) -> FactorList:
     """Split off cyclotomic divisors and recognize a Salem remainder.
 
-    Factors are tagged with their cyclotomic index; k = 1, 2 are the
-    standard z-1 and z+1.
+    Factors are tagged with their cyclotomic index, in increasing order; k = 1, 2
+    are the standard z-1 and z+1.  ``_strip_factors``, which also splits over the
+    root catalog, divides only by the cyclotomics whose value at _PROBE divides f's.
     """
     if not f.is_monic():
         raise ValueError("monic input required")
-    factors = []
-    rest = f
-    for k in _cyclotomic_indices(f.degree):
-        c = cyclotomic(k, "standard")
-        if c.degree > rest.degree:
-            continue
-        mult = 0
-        while c.divides(rest):
-            rest = rest.divexact(c)
-            mult += 1
-        if mult:
-            factors.append((c, mult, (CYCLOTOMIC_TAG, k)))
+    ks = _cyclotomic_indices(f.degree)
+    cyclos = [cyclotomic(k, "standard") for k in ks]
+    found, rest = _strip_factors(f.coeffs, [(c, c(_PROBE)) for c in cyclos])
+    factors = [(cyclos[i], mult, (CYCLOTOMIC_TAG, ks[i])) for i, mult in found]
     if rest.degree > 0:
         for part, mult in squarefree_decomposition(rest):
             tag = SALEM_TAG if mult == 1 and _salem_shape(part) else OTHER_TAG

@@ -8,8 +8,9 @@ comparison below is decided exactly, never numerically.
 
 Every polynomial is first split over the closed catalog, the 41 CT_k of
 degree <= 10 and LT: a bounded cache gives each catalog factor's
-multiplicity, found by exact division behind a probe-value prefilter, and
-the residual.  Roots are ordered by integer rank keys, not by comparison.
+multiplicity and the residual from ``poly._strip_factors``, exact division
+behind a probe-value prefilter, which ``classify_product`` shares.  Roots
+are ordered by integer rank keys, not by comparison.
 The roots of CT_k are 2cos(2 pi j/k), so comparing j/k by integer
 cross-multiplication orders every CT root, and LT's five roots are placed
 among them once by exact comparison.  Only the residual goes through Yun
@@ -39,8 +40,8 @@ from itertools import groupby
 from operator import itemgetter
 
 from .atoms import lehmer_trace
-from .poly import (IntPoly, cyclotomic_indices_up_to_degree, cyclotomic_trace, poly_gcd,
-                   resultant, squarefree_decomposition)
+from .poly import (_PROBE, IntPoly, _strip_factors, cyclotomic_indices_up_to_degree,
+                   cyclotomic_trace, poly_gcd, resultant, squarefree_decomposition)
 
 
 def _sturm_chain(f: IntPoly) -> list[IntPoly]:
@@ -126,7 +127,7 @@ def root_bound(f: IntPoly) -> int:
     if f.degree < 1:
         return 1
     lc = abs(f.leading())
-    m = max(abs(c) for c in f.coeffs[:-1]) if f.degree >= 1 else 0
+    m = max(abs(c) for c in f.coeffs[:-1])
     return 1 + (m + lc - 1) // lc
 
 
@@ -482,11 +483,6 @@ def _separated(entries: list) -> tuple:
     return tuple(entries)
 
 
-# Every catalog root lies in (-3, 3), so no catalog factor vanishes at
-# _PROBE, and a factor that divides a polynomial divides its value there.
-_PROBE = 2 ** 64
-
-
 @lru_cache(maxsize=1)
 def _catalog() -> tuple:
     """(factor, factor(_PROBE)) for the 41 CT_k of degree <= 10 and LT, in that order."""
@@ -496,39 +492,8 @@ def _catalog() -> tuple:
 
 @lru_cache(maxsize=128)
 def _split(coeffs: tuple) -> tuple:
-    """((catalog index, multiplicity), ...) and the residual of a polynomial.
-
-    A catalog factor is tried only where its value at _PROBE divides the
-    polynomial's, and is divided out as often as it divides exactly.  The
-    factors are irreducible, so the residual is coprime to all of them.
-    """
-    at = IntPoly(coeffs)(_PROBE)
-    catalog = _catalog()
-    rest = list(coeffs)
-    found = []
-    for i in [i for i, (_f, value) in enumerate(catalog) if at % value == 0]:
-        factor, value = catalog[i]
-        mult = 0
-        while at % value == 0 and (quot := _divide_monic(rest, factor.coeffs)) is not None:
-            rest, at, mult = quot, at // value, mult + 1
-        if mult:
-            found.append((i, mult))
-    return tuple(found), IntPoly(rest)
-
-
-def _divide_monic(a: list, b: tuple) -> list | None:
-    """The quotient of coefficient lists a / b for monic b, or None if b does not divide a."""
-    if len(a) < len(b):
-        return None
-    rem = list(a)
-    db = len(b) - 1
-    quot = [0] * (len(a) - db)
-    for i in range(len(quot) - 1, -1, -1):
-        q = quot[i] = rem[i + db]
-        if q:
-            for j in range(db):
-                rem[i + j] -= q * b[j]
-    return quot if not any(rem[:db]) else None
+    """((catalog index, multiplicity), ...) and the residual, coprime to the catalog."""
+    return _strip_factors(coeffs, _catalog())
 
 
 def split_squarefree(f: IntPoly) -> tuple[tuple[IntPoly, int], ...]:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from hyperk3.clusters import (
+    _local_indices,
     circle_patterns,
     cluster_group_indices,
     compute_trace_clusters,
@@ -25,7 +26,7 @@ from hyperk3.polyring import (
     resultant,
     salem_trace_deg11,
 )
-from hyperk3.polyring.roots import split_resultant
+from hyperk3.polyring.roots import AlgebraicReal, split_resultant
 
 ONE = IntPoly.one()
 
@@ -326,17 +327,33 @@ def _assert_clusters_match_old(Phi, Psi, parity="even", split=_old_split):
         assert _same_roots(got, want), (Phi, Psi)
 
 
+def _deg22_pairs(indices=range(1, 11)):
+    """(Phi, Psi) of every deg22 scan candidate with Psi = R_i, i in indices."""
+    from hyperk3.search import _qualifying
+    from hyperk3.search import ct_product as scan_product
+
+    return [(scan_product(ms), salem_trace_deg11(i)) for i in indices
+            for ms in _qualifying(salem_trace_deg11(i), 10, "one_multiple_le3")]
+
+
+def _lehmer_a_pairs():
+    """(Phi, Psi) of every lehmerA scan candidate."""
+    from hyperk3.search import _qualifying
+    from hyperk3.search import ct_product as scan_product
+
+    R = {i: salem_trace_deg11(i) for i in range(1, 11)}
+    return [(lehmer_trace() * scan_product(ks), R[i]) for i in R
+            if abs(resultant(lehmer_trace(), R[i])) == 1
+            for ks in _qualifying(R[i], 5, "sets_only")]
+
+
 def _scan_pairs():
     """(Phi, Psi) of every deg22 (R_1..R_10), lehmerA and lehmerB scan candidate."""
     from hyperk3.polyring import lehmer_nf
     from hyperk3.search import _qualifying
     from hyperk3.search import ct_product as scan_product
 
-    R = {i: salem_trace_deg11(i) for i in range(1, 11)}
-    pairs = [(scan_product(ms), R[i]) for i in R for ms in _qualifying(R[i], 10, "one_multiple_le3")]
-    pairs += [(lehmer_trace() * scan_product(ks), R[i]) for i in R
-              if abs(resultant(lehmer_trace(), R[i])) == 1
-              for ks in _qualifying(R[i], 5, "sets_only")]
+    pairs = _deg22_pairs() + _lehmer_a_pairs()
     pairs += [(scan_product(ms), lehmer_nf(i)) for i in range(1, 9)
               for ms in _qualifying(lehmer_nf(i), 10, "one_multiple_le3")]
     return pairs
@@ -398,3 +415,105 @@ def test_rank_clusters_match_exact_merge_with_residual_roots():
         assert resultant(Phi, Psi) != 0
         _assert_clusters_match_old(Phi, Psi)
         _assert_clusters_match_old(Psi, Phi)
+
+
+# --- local indices by position against the old exact comparisons ------------------
+
+
+def _old_rho(tc, tau):
+    """Reference: _rho before local indices came by position, with exact comparisons.
+
+    The real roots of Phi*Psi above tau with multiplicity; the integer 2 counts those >= 2.
+    """
+    on = list(tc.a_on_roots) + list(tc.b_on_roots)
+    if isinstance(tau, AlgebraicReal) or tau != 2:
+        count = sum(r.multiplicity for r in on if r > tau)
+    else:
+        count = sum(r.multiplicity for r in on if r >= 2)
+    return count + tc.a_gt2 + tc.b_gt2
+
+
+def _old_local_index(tc, tau):
+    """Reference: local_index before local indices came by position."""
+    in_a = any(r == tau for r in tc.a_on_roots)
+    in_b = any(r == tau for r in tc.b_on_roots)
+    if not in_a and not in_b:
+        raise ValueError("tau is not an on-interval root of Phi or Psi")
+    mult = sum(r.multiplicity for r in (tc.a_on_roots if in_a else tc.b_on_roots) if r == tau)
+    if mult % 2 == 0:
+        return 0
+    rho = _old_rho(tc, tau)
+    return (-1) ** (rho + 1) if in_a else (-1) ** rho
+
+
+def _old_endpoint_index(tc, at, rank):
+    """Reference: endpoint_index before it read the stored counts."""
+    if at == 2:
+        return (-1) ** _old_rho(tc, 2)
+    if at == -2:
+        return (-1) ** (_old_rho(tc, -2) + rank + 1)
+    raise ValueError("endpoint must be +2 or -2")
+
+
+def _assert_local_indices_match_old(tc, rank):
+    """The walk visits every on-interval root once, decreasing, on its side, and gives
+    the old local index; local_index and endpoint_index agree with the old ones."""
+    walk = list(_local_indices(tc))
+    assert sorted(id(r) for r, _s, _i in walk) == sorted(map(id, tc.a_on_roots + tc.b_on_roots))
+    assert all(x[0] > y[0] for x, y in zip(walk, walk[1:]))
+    for r, side, idx in walk:
+        assert any(x is r for x in (tc.a_on_roots if side == "A" else tc.b_on_roots))
+        assert idx == local_index(tc, r) == _old_local_index(tc, r)
+    for at in (2, -2):
+        assert endpoint_index(tc, at, rank) == _old_endpoint_index(tc, at, rank)
+
+
+def test_local_indices_match_old_on_scan_candidates():
+    """Every on-interval root of every R7 deg22 and lehmerA candidate and its antipode."""
+    from hyperk3.k3class import antipode_pair
+
+    pairs = _deg22_pairs([7]) + _lehmer_a_pairs()
+    assert len(pairs) > 272
+    for pair in pairs:
+        for Phi, Psi in (pair, antipode_pair(*pair)):
+            _assert_local_indices_match_old(compute_trace_clusters(Phi, Psi), 22)
+
+
+def _random_special_pair(rng, parity):
+    """A coprime random (Phi, Psi) of the degrees of the rank parity, with factors
+    among (w - 2), (w + 2), catalog and residual quadratics, some repeated."""
+    special = [IntPoly((-2, 1)), IntPoly((2, 1)), cyclotomic_trace(5), IntPoly((-3, 0, 1)),
+               IntPoly((-5, 0, 2)), IntPoly((-3, -1, 1))]
+    while True:
+        parts = [[rng.choice(special) ** rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
+                 for _side in "AB"]
+        da, db = (sum(p.degree for p in side) for side in parts)
+        low = max(da + (parity == "even"), db, 1)
+        nh = rng.randint(low, max(low, 7))
+        free = (nh - (parity == "even") - da, nh - db)
+        Phi, Psi = (IntPoly([rng.randint(-3, 3) for _ in range(n)] + [1]) for n in free)
+        for p in parts[0]:
+            Phi = Phi * p
+        for p in parts[1]:
+            Psi = Psi * p
+        if resultant(Phi, Psi) != 0:
+            return Phi, Psi
+
+
+def test_local_indices_match_old_on_random_pairs():
+    """Seeded random pairs of both parities, with roots at +-2, even multiplicities and
+    the no-clusters marker among them."""
+    rng = random.Random(1010)
+    seen = dict.fromkeys(("at_2", "at_neg2", "even_mult", "no_clusters", "odd"), 0)
+    for n in range(240):
+        parity = "odd" if n % 3 == 0 else "even"
+        Phi, Psi = _random_special_pair(rng, parity)
+        tc = compute_trace_clusters(Phi, Psi, parity)
+        rank = 2 * Psi.degree + (parity == "odd")
+        _assert_local_indices_match_old(tc, rank)
+        seen["at_2"] += tc.mult_at_2 > 0
+        seen["at_neg2"] += tc.mult_at_neg2 > 0
+        seen["even_mult"] += any(r.multiplicity % 2 == 0 for r in tc.a_on_roots + tc.b_on_roots)
+        seen["no_clusters"] += tc.no_clusters
+        seen["odd"] += parity == "odd"
+    assert min(seen.values()) >= 5, seen

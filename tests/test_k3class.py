@@ -311,6 +311,31 @@ def test_scan_computes_clusters_once_per_candidate(monkeypatch):
     assert len(calls) == len(_r7_candidates())
 
 
+def test_local_index_special_trace_compares_no_two_roots(monkeypatch):
+    """On every matched R7 candidate, either side, special_trace_by_local_index makes no
+    AlgebraicReal.compare call against another AlgebraicReal: the merge order gives
+    every local index by position."""
+    from hyperk3.polyring.roots import AlgebraicReal
+
+    R = salem_trace_deg11(7)
+    certs = [cert for ms in _r7_candidates() for side in ("B", "A")
+             if (cert := trace_certificate_explain(ctp(ms), R, side)[0]) is not None]
+    assert len(certs) > 20 and {c.side for c in certs} == {"A", "B"}
+    between_roots = []
+    real_compare = AlgebraicReal.compare
+
+    def counting_compare(self, other):
+        if isinstance(other, AlgebraicReal):
+            between_roots.append(1)
+        return real_compare(self, other)
+
+    monkeypatch.setattr(AlgebraicReal, "compare", counting_compare)
+    for cert in certs:
+        st = special_trace_by_local_index(cert.clusters, cert.side, cert.renormalized)
+        assert st is cert.special_trace
+    assert not between_roots
+
+
 def _lehmer_a_pairs():
     """(Phi, Psi) of every lehmerA scan candidate, generated as the scan does."""
     from hyperk3.search import _qualifying

@@ -809,6 +809,51 @@ def test_classify_product_examples():
     assert not fl3.cyclotomic_part()
 
 
+def _old_classify_product(f):
+    """Reference: classify_product's trial division by every cyclotomic of degree <= deg f."""
+    from hyperk3.polyring.poly import _cyclotomic_indices, _salem_shape
+
+    factors, rest = [], f
+    for k in _cyclotomic_indices(f.degree):
+        c = cyclotomic(k, "standard")
+        if c.degree > rest.degree:
+            continue
+        mult = 0
+        while c.divides(rest):
+            rest = rest.divexact(c)
+            mult += 1
+        if mult:
+            factors.append((c, mult, ("cyclotomic", k)))
+    if rest.degree > 0:
+        for part, mult in squarefree_decomposition(rest):
+            tag = "salem" if mult == 1 and _salem_shape(part) else "other"
+            factors.append((part, mult, (tag, None)))
+    return factors
+
+
+def test_classify_product_matches_old_trial_division():
+    """The z-level phi and psi of every R7 deg22 and lehmerA candidate, and the
+    examples above: the same factors, multiplicities, tags and order."""
+    from hyperk3.search import _qualifying, ct_product
+
+    R = {i: salem_trace_deg11(i) for i in range(1, 11)}
+    pairs = [(ct_product(ms), R[7]) for ms in _qualifying(R[7], 10, "one_multiple_le3")]
+    pairs += [(lehmer_trace() * ct_product(ks), R[i]) for i in R
+              if abs(resultant(lehmer_trace(), R[i])) == 1
+              for ks in _qualifying(R[i], 5, "sets_only")]
+    polys = {f.coeffs: f for Phi, Psi in pairs for f in pair_from_trace(Phi, Psi, "even")}
+    examples = [cyclotomic(1) ** 9 * cyclotomic(2) * cyclotomic(4) * lehmer(),
+                IntPoly((1, 1, 1)), IntPoly((-3, 0, 1))]
+    polys.update((f.coeffs, f) for f in examples)
+    assert len(polys) > 300
+    tags = set()
+    for f in polys.values():
+        got = classify_product(f).factors
+        assert got == _old_classify_product(f), f
+        tags.update(tag[0] for _p, _m, tag in got)
+    assert tags == {"cyclotomic", "salem", "other"}
+
+
 def _old_is_salem_trace_shape(p):
     """siegel's shape test before the shared helper (reference only)."""
     roots = isolate_real_roots(p)
