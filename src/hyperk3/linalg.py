@@ -148,15 +148,9 @@ def signature(gram: Sequence[Sequence]) -> tuple[int, int]:
     return p, q
 
 
-def is_positive_definite(gram: Sequence[Sequence]) -> bool:
-    n = len(gram)
-    if n == 0:
-        return True
-    try:
-        p, q = signature(gram)
-    except ValueError:
-        return False
-    return p == n
+def is_positive_definite(gram: Sequence[Sequence[int]]) -> bool:
+    """Sylvester's criterion for a symmetric integer matrix: every leading minor is > 0."""
+    return all(bareiss_det([row[:k] for row in gram[:k]]) > 0 for k in range(1, len(gram) + 1))
 
 
 def mat_inverse(mat: Sequence[Sequence]) -> Matrix:

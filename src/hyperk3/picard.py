@@ -13,21 +13,24 @@ lexicographic order and the positive-root indices all refer to the standard
 basis.
 
 The chamber transport is the greedy reflection ascent: starting from
-d = F(weyl vector), repeatedly apply the Picard-Lefschetz reflection that
-maximally increases the pairing with the Weyl vector; the product of the
-applied reflections is the unique Weyl element w_F with w_F(F(K)) = K.
+d = F(2 delta), with 2 delta the integral sum of the positive roots,
+repeatedly apply the Picard-Lefschetz reflection that maximally increases
+the pairing with the Weyl vector delta.  The applied reflections compose to
+the unique Weyl element w_F with w_F(F(K)) = K, but w_F is never formed:
+each reflection acts in place on F|Pic and on F, all in integers.  The
+result is guarded by the restriction identity F~ S = S F~|Pic, with S the
+basis of Pic in L.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .hyplattice import HgLattice, build_lattice, companion
 from .k3class import K3Certificate
-from .polyring import IntPoly, classify_product
+from .polyring import IntPoly
 
 MAX_ASCENT_STEPS = 100_000  # proxy bound for |W|; the ascent increases strictly
 
@@ -77,11 +80,10 @@ def picard_gram(lattice: HgLattice, cert: K3Certificate) -> PicardLattice:
                     acc += ca * cb * xi[abs(k + a - b)]
         row.append(sign_pic * acc)
     gram_pos = [[row[abs(i - j)] for j in range(rho)] for i in range(rho)]
-    if rho:
-        if not linalg.is_positive_definite(gram_pos):
-            raise AssertionError("Pic Gram must be positive definite (non-projective)")
-        if any(gram_pos[i][i] % 2 for i in range(rho)):
-            raise AssertionError("Pic must be an even lattice")
+    if not linalg.is_positive_definite(gram_pos):
+        raise AssertionError("Pic Gram must be positive definite (non-projective)")
+    if any(gram_pos[i][i] % 2 for i in range(rho)):
+        raise AssertionError("Pic must be an even lattice")
     basis = [[0] * rho for _ in range(n)]
     for i in range(rho):
         for a, ca in enumerate(c):
@@ -215,12 +217,12 @@ class RootSystemData:
     positive_roots: list       # lex increasing; sigma_j refers to entry j-1
     simple_roots: list
     dynkin: tuple              # multiset of component labels, e.g. ('E6', 'E6')
-    weyl_vector: list          # Fractions
+    two_delta: list            # 2 * Weyl vector, integers: the sum of the positive roots
     components: tuple          # per component: dict label -> positive-root index
 
 
 def positive_simple_roots(roots, gram_pos) -> RootSystemData:
-    """Positive roots (first nonzero coordinate > 0), simple roots, Weyl vector."""
+    """Positive roots (first nonzero coordinate > 0), simple roots, twice the Weyl vector."""
     positive = [r for r in roots if _is_positive(r)]
     positive.sort()
     pos_set = set(positive)
@@ -230,10 +232,9 @@ def positive_simple_roots(roots, gram_pos) -> RootSystemData:
     for p in positive:
         if not any(tuple(a - b for a, b in zip(p, q)) in pos_set for q in positive):
             simple.append(p)
-    rho = len(gram_pos)
-    weyl = [Fraction(sum(p[i] for p in positive), 2) for i in range(rho)]
+    two_delta = [sum(p[i] for p in positive) for i in range(len(gram_pos))]
     comps, labels = _dynkin_components(simple, gram_pos, positive)
-    return RootSystemData(list(roots), positive, simple, labels, weyl, comps)
+    return RootSystemData(list(roots), positive, simple, labels, two_delta, comps)
 
 
 def _is_positive(r) -> bool:
@@ -249,8 +250,7 @@ def pairing(gram, u, v):
 
 def dynkin_classify(simple_roots, gram_pos):
     """Multiset of ADE labels of the Coxeter graph of the simple roots."""
-    comps, labels = _dynkin_components(simple_roots, gram_pos, None)
-    return labels
+    return _dynkin_components(simple_roots, gram_pos, None)[1]
 
 
 def _dynkin_components(simple, gram, positive):
@@ -365,8 +365,8 @@ def _walk_path(start, adj, comp, forbidden=()):
 @dataclass(frozen=True)
 class BringBackResult:
     word: tuple[int, ...]          # 1-based positive-root indices, composition order
-    modified: list                 # 22 x 22 integer matrix of w_F o F on L
-    modified_on_pic: list          # rho x rho integer matrix
+    modified: list                 # 22 x 22 integer matrix of F~ = w_F o F on L
+    modified_on_pic: list          # rho x rho integer matrix of F~|Pic
     chi_tilde: IntPoly
     chi1_tilde: IntPoly
     trace_tilde: int
@@ -376,93 +376,76 @@ def bring_back(pic: PicardLattice, rs: RootSystemData,
                tie_break: str = "lowest") -> BringBackResult:
     """Greedy reflection ascent transporting F's chamber image back.
 
-    Ties among reflections attaining the maximal pairing gain break to the
-    lowest positive-root index by default ('highest' picks the other end;
-    either way the product is the same Weyl element).  The word is reported
-    in composition order: the rightmost reflection acts first.
+    The ascent runs in integers on d = F(2 delta), so every pairing gain is 4
+    times the gain for delta and the choices are the same.  Ties among
+    reflections attaining the maximal gain break to the lowest positive-root
+    index by default ('highest' picks the other end; either way the product
+    is the same Weyl element).  The word is reported in composition order:
+    the rightmost reflection acts first.
+
+    w_F is never formed: each chosen reflection is applied straight to F|Pic
+    and to F on L as a rank-one update.  A reflection moves vectors only
+    along Pic, so F~ = F mod Pic; the guard F~ S = S F~|Pic (S the basis of
+    Pic in L) then gives chi~ = chi0 * charpoly(F~|Pic).
     """
-    rho = pic.rho
-    gram = pic.gram_pos
-    n = pic.lattice.n
-    f_l = companion(pic.chi)
-    if rho == 0:
-        chi_tilde = IntPoly(tuple(linalg.charpoly(f_l)))
-        return BringBackResult((), f_l, [], chi_tilde,
-                               chi_tilde.divexact(pic.chi0), chi_tilde.trace())
     pos = rs.positive_roots
-    gu = [linalg.mat_vec(gram, list(u)) for u in pos]
-    delta = rs.weyl_vector
-    delta_u = [sum(delta[i] * gu_k[i] for i in range(rho)) for gu_k in gu]
-    if not all(v > 0 for v in delta_u):
+    gu = [linalg.mat_vec(pic.gram_pos, list(u)) for u in pos]
+    two_delta_u = [linalg.dot(rs.two_delta, gu_k) for gu_k in gu]
+    if not all(v > 0 for v in two_delta_u):
         raise AssertionError("Weyl vector must pair positively with every positive root")
     if tie_break not in ("lowest", "highest"):
         raise ValueError("tie_break must be 'lowest' or 'highest'")
     prefer_high = tie_break == "highest"
-    d = linalg.mat_vec(pic.f_on_pic, delta)
+    s = pic.basis_in_l
+    g_l = pic.lattice.gram_a if pic.side == "A" else pic.lattice.gram_b
+    f_tilde = companion(pic.chi)
+    f_tilde_pic = [list(row) for row in pic.f_on_pic]
+    d = linalg.mat_vec(f_tilde_pic, rs.two_delta)
     applied: list[int] = []
     for _step in range(MAX_ASCENT_STEPS):
         best_k = None
         best_gain = 0
         for k, gu_k in enumerate(gu):
-            gain = -sum(d[i] * gu_k[i] for i in range(rho)) * delta_u[k]
+            gain = -linalg.dot(d, gu_k) * two_delta_u[k]
             if gain > best_gain or (prefer_high and gain == best_gain and gain > 0):
                 best_gain = gain
                 best_k = k
         if best_k is None:
             break
         u = pos[best_k]
-        du = sum(d[i] * gu[best_k][i] for i in range(rho))
-        d = [d[i] - du * u[i] for i in range(rho)]
+        du = linalg.dot(d, gu[best_k])
+        d = [a - du * b for a, b in zip(d, u)]
+        _reflect(f_tilde_pic, u, gu[best_k], 1)
+        u_l = linalg.mat_vec(s, u)
+        _reflect(f_tilde, u_l, linalg.mat_vec(g_l, u_l), pic.sign_pic)
         applied.append(best_k)
     else:
         raise AssertionError(
             f"reflection ascent failed to terminate within {MAX_ASCENT_STEPS} steps")
-    # assemble w_F on Pic and on L
-    w_pic = linalg.identity(rho)
-    w_l = linalg.identity(n)
-    g_l = pic.lattice.gram_a if pic.side == "A" else pic.lattice.gram_b
-    for k in applied:
-        u = list(pos[k])
-        w_pic = linalg.mat_mul(_reflection(gram, u, 1), w_pic)
-        u_l = linalg.mat_vec(pic.basis_in_l, u)
-        w_l = linalg.mat_mul(_reflection(g_l, u_l, pic.sign_pic), w_l)
-    f_tilde_pic = linalg.mat_mul(w_pic, pic.f_on_pic)
-    f_tilde = linalg.mat_mul(w_l, f_l)
-    chi_tilde = IntPoly(tuple(linalg.charpoly(f_tilde)))
+    if linalg.mat_mul(f_tilde, s) != linalg.mat_mul(s, f_tilde_pic):
+        raise AssertionError("modified matrix does not restrict to its Picard block")
     chi1_tilde = IntPoly(tuple(linalg.charpoly(f_tilde_pic)))
-    if chi_tilde != pic.chi0 * chi1_tilde:
-        raise AssertionError("modified characteristic polynomial lost the chi0 factor")
+    chi_tilde = pic.chi0 * chi1_tilde
     word = tuple(k + 1 for k in reversed(applied))
     return BringBackResult(word, f_tilde, f_tilde_pic, chi_tilde,
                            chi1_tilde, chi_tilde.trace())
 
 
-def _reflection(gram, u, sign):
-    """Matrix of v -> v - sign*(v^T G u) u, the reflection in a norm-2 vector."""
-    n = len(u)
-    gu = linalg.mat_vec(gram, u)
-    out = [[(1 if i == j else 0) - sign * u[i] * gu[j] for j in range(n)] for i in range(n)]
-    return out
+def _reflect(m, u, gu, sign):
+    """M <- M - sign * u (gu^T M) in place: the reflection v -> v - sign*(v^T G u) u after M."""
+    row = [linalg.dot(gu, col) for col in zip(*m)]
+    for i, ui in enumerate(u):
+        if ui:
+            m[i] = [a - sign * ui * b for a, b in zip(m[i], row)]
 
 
 def preserves_positive_roots(result: BringBackResult, rs: RootSystemData) -> bool:
     pos_set = set(rs.positive_roots)
-    if not rs.positive_roots:
-        return True
     for u in rs.positive_roots:
         img = tuple(linalg.mat_vec(result.modified_on_pic, list(u)))
         if img not in pos_set:
             return False
     return True
-
-
-def modified_invariants(result: BringBackResult, pic: PicardLattice):
-    """(chi_tilde, trace, chi1_tilde all-cyclotomic check) with exact factorization."""
-    if result.chi_tilde != pic.chi0 * result.chi1_tilde:
-        raise AssertionError("chi~ must factor as chi0 * chi1~")
-    cyclo = classify_product(result.chi1_tilde).all_cyclotomic() \
-        if result.chi1_tilde.degree > 0 else True
-    return result.chi_tilde, result.trace_tilde, cyclo
 
 
 def dynkin_action(result: BringBackResult, rs: RootSystemData):

@@ -199,13 +199,6 @@ class IntPoly:
             raise ValueError("polynomial does not divide exactly")
         return q
 
-    def divides(self, other: "IntPoly") -> bool:
-        try:
-            other.divexact(self)
-            return True
-        except (ValueError, ZeroDivisionError):
-            return False
-
     # -- calculus / evaluation ---------------------------------------------
 
     def derivative(self) -> "IntPoly":

@@ -1,5 +1,6 @@
 """Root enumeration, Dynkin recognition and the chamber transport."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -12,21 +13,23 @@ import pytest
 from hyperk3 import linalg
 from hyperk3.k3class import k3_certificate
 from hyperk3.picard import (
+    BringBackResult,
+    MAX_ASCENT_STEPS,
     _lll_gram,
     bring_back,
     dynkin_action,
     dynkin_classify,
     enumerate_root_system,
-    modified_invariants,
     pairing,
     picard_from_certificate,
     picard_gram,
     positive_simple_roots,
     preserves_positive_roots,
 )
-from hyperk3.hyplattice import build_lattice
+from hyperk3.hyplattice import build_lattice, companion, signature_oracle
 from hyperk3.polyring import (
     IntPoly,
+    classify_product,
     cyclotomic,
     cyclotomic_trace,
     lehmer_nf,
@@ -189,13 +192,17 @@ REFERENCE_ROWS = [r for r in LEHMER_ROWS if _row_id(r) not in SLOW_FOR_REFERENCE
 
 
 @functools.lru_cache(maxsize=None)
-def lehmer_gram(row):
+def lehmer_picard(row):
     _label, side, i, ks = row
     if side == "A":
         phi, psi = pair_from_trace(lehmer_trace() * ct_product(ks), salem_trace_deg11(i), "even")
     else:
         phi, psi = pair_from_trace(ct_product(ks), lehmer_nf(i), "even")
-    return picard_from_certificate(k3_certificate(phi, psi, side)).gram_pos
+    return picard_from_certificate(k3_certificate(phi, psi, side))
+
+
+def lehmer_gram(row):
+    return lehmer_picard(row).gram_pos
 
 
 def test_lehmer_row_split():
@@ -322,7 +329,7 @@ def test_positive_and_simple_roots_a2():
     assert len(rs.simple_roots) == 2
     assert rs.dynkin == ("A2",)
     for s in rs.simple_roots:
-        assert pairing(A2, rs.weyl_vector, s) > 0
+        assert pairing(A2, rs.two_delta, s) > 0
 
 
 def test_dynkin_classify_families():
@@ -376,8 +383,7 @@ def test_worked_example_bring_back():
     expect = cyclotomic(1) ** 4 * cyclotomic(2) ** 4 * cyclotomic(4) ** 2
     assert res.chi1_tilde == expect
     assert res.trace_tilde == -1
-    chi_t, trace, cyclo = modified_invariants(res, pic)
-    assert cyclo and trace == -1
+    assert classify_product(res.chi1_tilde).all_cyclotomic()
     # isometry and fixed orthogonal complement
     g = pic.lattice.gram_a
     f = res.modified
@@ -473,6 +479,7 @@ def test_rho_zero_identity_modification():
     assert res.word == ()
     assert res.chi1_tilde == IntPoly.one()
     assert res.chi_tilde == cert.psi
+    assert res == fraction_bring_back(pic, rs)  # the old special branch for rho = 0
 
 
 def test_projective_certificate_rejected():
@@ -537,3 +544,164 @@ def test_a2_action_identity():
     assert cycles == ()  # every simple root fixed
     assert res.chi1_tilde == cyclotomic(1) ** 2 * cyclotomic(3) * cyclotomic(15)
     assert res.trace_tilde == 1
+
+
+# ---------------------------------------------------------------------------
+# the integer chamber transport against the Fraction ascent with assembled w_F
+# ---------------------------------------------------------------------------
+
+
+def _reflection_matrix(gram, u, sign):
+    """Matrix of v -> v - sign*(v^T G u) u, the reflection in a norm-2 vector."""
+    n = len(u)
+    gu = linalg.mat_vec(gram, u)
+    return [[(1 if i == j else 0) - sign * u[i] * gu[j] for j in range(n)] for i in range(n)]
+
+
+def fraction_bring_back(pic, rs, tie_break="lowest"):
+    """Reference transport: the ascent in Fractions on delta, w_F assembled from matrices.
+
+    This was the package's bring_back before the integer transport; it is
+    kept here to compare against.  It builds w_F on Pic and on L as products
+    of reflection matrices and checks chi~ = chi0 * chi1~ with two Berkowitz
+    characteristic polynomials, one of them 22 x 22.
+    """
+    rho = pic.rho
+    gram = pic.gram_pos
+    n = pic.lattice.n
+    f_l = companion(pic.chi)
+    if rho == 0:
+        chi_tilde = IntPoly(tuple(linalg.charpoly(f_l)))
+        return BringBackResult((), f_l, [], chi_tilde,
+                               chi_tilde.divexact(pic.chi0), chi_tilde.trace())
+    pos = rs.positive_roots
+    gu = [linalg.mat_vec(gram, list(u)) for u in pos]
+    delta = [Fraction(sum(p[i] for p in pos), 2) for i in range(rho)]
+    delta_u = [sum(delta[i] * gu_k[i] for i in range(rho)) for gu_k in gu]
+    assert all(v > 0 for v in delta_u)
+    prefer_high = tie_break == "highest"
+    d = linalg.mat_vec(pic.f_on_pic, delta)
+    applied = []
+    for _step in range(MAX_ASCENT_STEPS):
+        best_k = None
+        best_gain = 0
+        for k, gu_k in enumerate(gu):
+            gain = -sum(d[i] * gu_k[i] for i in range(rho)) * delta_u[k]
+            if gain > best_gain or (prefer_high and gain == best_gain and gain > 0):
+                best_gain = gain
+                best_k = k
+        if best_k is None:
+            break
+        u = pos[best_k]
+        du = sum(d[i] * gu[best_k][i] for i in range(rho))
+        d = [d[i] - du * u[i] for i in range(rho)]
+        applied.append(best_k)
+    w_pic = linalg.identity(rho)
+    w_l = linalg.identity(n)
+    g_l = pic.lattice.gram_a if pic.side == "A" else pic.lattice.gram_b
+    for k in applied:
+        u = list(pos[k])
+        w_pic = linalg.mat_mul(_reflection_matrix(gram, u, 1), w_pic)
+        u_l = linalg.mat_vec(pic.basis_in_l, u)
+        w_l = linalg.mat_mul(_reflection_matrix(g_l, u_l, pic.sign_pic), w_l)
+    f_tilde_pic = linalg.mat_mul(w_pic, pic.f_on_pic)
+    f_tilde = linalg.mat_mul(w_l, f_l)
+    chi_tilde = IntPoly(tuple(linalg.charpoly(f_tilde)))
+    chi1_tilde = IntPoly(tuple(linalg.charpoly(f_tilde_pic)))
+    assert chi_tilde == pic.chi0 * chi1_tilde
+    word = tuple(k + 1 for k in reversed(applied))
+    return BringBackResult(word, f_tilde, f_tilde_pic, chi_tilde,
+                           chi1_tilde, chi_tilde.trace())
+
+
+@functools.lru_cache(maxsize=None)
+def lehmer_root_system(row):
+    gram = lehmer_gram(row)
+    return positive_simple_roots(enumerate_root_system(gram), gram)
+
+
+@pytest.mark.parametrize("row", LEHMER_ROWS, ids=_row_id)
+def test_bring_back_matches_fraction_ascent(row):
+    """Every BringBackResult field equals the reference's, for both tie-breaks.
+
+    The full 22 x 22 characteristic polynomial and trace of F~ then confirm
+    chi~ = chi0 * chi1~, which bring_back reads off the restriction identity.
+    """
+    pic, rs = lehmer_picard(row), lehmer_root_system(row)
+    results = []
+    for tie_break in ("lowest", "highest"):
+        res = bring_back(pic, rs, tie_break)
+        ref = fraction_bring_back(pic, rs, tie_break)
+        for field in dataclasses.fields(BringBackResult):
+            assert getattr(res, field.name) == getattr(ref, field.name), field.name
+        results.append(res)
+    res = results[0]
+    assert results[1].modified == res.modified
+    assert IntPoly(tuple(linalg.charpoly(res.modified))) == res.chi_tilde
+    assert res.trace_tilde == sum(res.modified[i][i] for i in range(pic.lattice.n))
+
+
+def test_bring_back_guard_trips_on_wrong_sign():
+    """With sign_pic flipped the updates on L are not reflections and F~ S != S F~|Pic."""
+    _cert, pic, _roots, rs = worked_example()
+    with pytest.raises(AssertionError, match="does not restrict to its Picard block"):
+        bring_back(dataclasses.replace(pic, sign_pic=-pic.sign_pic), rs)
+
+
+def test_two_delta_is_integral():
+    _cert, pic, _roots, rs = worked_example()
+    assert len(rs.two_delta) == pic.rho
+    assert all(type(x) is int for x in rs.two_delta)
+    assert rs.two_delta == [sum(p[i] for p in rs.positive_roots) for i in range(pic.rho)]
+
+
+def test_bring_back_one_charpoly_on_pic(monkeypatch):
+    """chi~ costs one rho x rho characteristic polynomial, no 22 x 22 one."""
+    _cert, pic, _roots, rs = worked_example()
+    sizes = []
+    charpoly = linalg.charpoly
+
+    def counting(mat):
+        sizes.append(len(mat))
+        return charpoly(mat)
+
+    monkeypatch.setattr(linalg, "charpoly", counting)
+    bring_back(pic, rs)
+    assert sizes == [pic.rho]
+
+
+def _random_symmetric(rng, n):
+    """Arbitrary symmetric, Gram (semidefinite, often singular) or shifted Gram matrices."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        return g
+    m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(max(1, n - 2), n + 1))]
+    g = linalg.mat_mul(linalg.transpose(m), m)
+    if kind == 2:
+        shift = rng.randint(-2, 1)
+        for i in range(n):
+            g[i][i] += shift
+    return g
+
+
+def test_is_positive_definite_matches_signature():
+    """Sylvester's criterion agrees with the exact signature; degenerate forms are not definite."""
+    rng = random.Random(31)
+    definite = indefinite = degenerate = 0
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        g = _random_symmetric(rng, n)
+        try:
+            want = signature_oracle(g) == (n, 0)
+        except ValueError:
+            want = False
+            degenerate += 1
+        assert linalg.is_positive_definite(g) == want
+        definite += want
+        indefinite += not want
+    assert min(definite, indefinite - degenerate, degenerate) >= 50
+    assert linalg.is_positive_definite([])
