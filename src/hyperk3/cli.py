@@ -31,7 +31,6 @@ from .polyring import (
     palindrome_class,
     palindromic_expand,
     parse_poly,
-    trace_poly,
 )
 from .polyring.roots import AlgebraicReal, isolate_real_roots
 from .search import list_ct_catalog, resolve_jobs, scan_deg22, scan_lehmer
@@ -240,7 +239,7 @@ def cmd_bringback(args):
     res = bring_back(pic, rs)
     if not preserves_positive_roots(res, rs):
         raise CliError("internal: modified matrix fails to preserve positive roots", 3)
-    _mapping, cycles = dynkin_action(res, rs) if pic.rho else ([], ())
+    _mapping, cycles = dynkin_action(res, rs)
     result = {
         "roots": len(roots),
         "positive_roots": len(rs.positive_roots),
@@ -329,10 +328,9 @@ def cmd_unit(args):
     sign = -1 if cert.renormalized else 1
     row = [sign * v for v in lat.xi_extended("B", cert.Psi.degree - 1)]
     data = unit_from_gram(row, cert.Psi)
-    tau = cert.special_trace.retargeted(trace_poly(cert.chi0))
     # the compatibility clause applies when the unit ring is the full trace
     # ring of psi, i.e. when chi0 = psi (Picard number zero)
-    ok, why = verify_unit(data.U, data.R, tau if data.R == tau.minpoly else None)
+    ok, why = verify_unit(data.U, data.R, cert.special_trace if cert.rho == 0 else None)
     result = {
         "U": data.U.format("w"),
         "R": data.R.format("w"),

@@ -34,7 +34,7 @@ from .polyring import (
     trace_poly,
     trace_polynomial_pair,
 )
-from .polyring.roots import AlgebraicReal, split_resultant, split_squarefree
+from .polyring.roots import AlgebraicReal, ranked_roots, root_index, split_resultant, split_squarefree
 
 RANK = 22
 
@@ -259,8 +259,7 @@ def chi_factorization(chi: IntPoly, tau: AlgebraicReal) -> ChiSplit:
     for poly, mult, tag in fl.factors:
         if poly.degree < 2 or poly.degree % 2 != 0:
             continue
-        t = trace_poly(poly)
-        if tau.is_root_of(t):
+        if root_index(tau, ranked_roots(trace_poly(poly))) is not None:
             if tag[0] == "other":
                 raise ValueError("special trace lies in an unrecognized factor")
             if hit is not None:

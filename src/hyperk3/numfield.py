@@ -19,10 +19,11 @@ number-field package is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg
 from .polyring import IntPoly, pair_power, palindrome_class, poly_gcd, trace_poly
-from .polyring.roots import AlgebraicReal, isolate_real_roots
+from .polyring.roots import AlgebraicReal, endpoint_keys, ranked_roots, root_index, signs_at_roots
 
 
 def _rem_top_coeff(g: IntPoly, R: IntPoly) -> int:
@@ -54,26 +55,26 @@ def unit_from_gram(gram_row, R: IntPoly) -> UnitData:
         raise ValueError(f"need the pairings (F^j r, r) for j = 0..{n - 1}")
     if gram_row[0] % 2:
         raise ValueError("(r, r) must be even")
-    c = [[0] * (n + 1) for _ in range(n + 1)]
-    for j in range(1, n + 1):
-        pj = pair_power(j - 1)
-        for k in range(1, n + 1):
-            c[j][k] = _rem_top_coeff(pj * IntPoly.monomial(n - k, 1), R)
-    u = [0] * (n + 1)
-    u[1] = gram_row[0] // 2
-    for j in range(2, n + 1):
-        acc = gram_row[j - 1]
-        for k in range(1, j):
-            acc -= c[j][k] * u[k]
-        if c[j][j] != 1:
-            raise AssertionError("c_jj must be 1")
-        u[j] = acc
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            if c[j][k] != 0:
-                raise AssertionError("c_jk must vanish above the diagonal")
-    U = IntPoly(tuple(u[n - i] for i in range(n)))  # u_1 w^(N-1) + ... + u_N
-    return UnitData(U, R, tuple(u[1:]), tuple(tuple(row[1:]) for row in c[1:]))
+    c = _c_matrix(R)
+    u = [gram_row[0] // 2]
+    for j in range(1, n):
+        u.append(gram_row[j] - sum(c[j][k] * u[k] for k in range(j)))
+    U = IntPoly(tuple(reversed(u)))  # u_1 w^(N-1) + ... + u_N
+    return UnitData(U, R, tuple(u), c)
+
+
+@lru_cache(maxsize=32)
+def _c_matrix(R: IntPoly) -> tuple:
+    """c_jk = [P_(j-1) w^(N-k)]_R as 0-based rows, once per R: lower triangular,
+    with c_jj = 1 for j >= 2 (c_11 = 2, hence u_1 = (r, r)/2)."""
+    n = R.degree
+    c = tuple(tuple(_rem_top_coeff(pair_power(j) * IntPoly.monomial(n - 1 - k, 1), R)
+                    for k in range(n)) for j in range(n))
+    if any(c[j][j] != 1 for j in range(1, n)):
+        raise AssertionError("c_jj must be 1")
+    if any(any(row[j + 1:]) for j, row in enumerate(c)):
+        raise AssertionError("c_jk must vanish above the diagonal")
+    return c
 
 
 def multiplication_matrix(g: IntPoly, modulus: IntPoly):
@@ -92,7 +93,7 @@ def verify_unit(U: IntPoly, R: IntPoly, tau: AlgebraicReal | None = None):
 
     Returns (ok, reason): det of multiplication by U mod R must be +-1; when
     tau is given, U(tau) R'(tau) > 0 must hold and tau must be the only root
-    of R in (-2, 2) with that sign.
+    of R in (-2, 2) with that sign, read off root order (``signs_at_roots``).
     """
     if U.degree >= R.degree:
         return False, "deg U must be below deg R"
@@ -102,16 +103,13 @@ def verify_unit(U: IntPoly, R: IntPoly, tau: AlgebraicReal | None = None):
     if abs(det) != 1:
         return False, f"multiplication by U has determinant {det}"
     if tau is not None:
-        rp = R.derivative()
-        hits = []
-        for root in isolate_real_roots(R):
-            if not (-2 < root < 2):
-                continue
-            if root.sign_of(U) * root.sign_of(rp) > 0:
-                hits.append(root)
+        lo, hi = endpoint_keys()
+        ranked = ranked_roots(R)
+        su, sr = signs_at_roots(U, R), signs_at_roots(R.derivative(), R)
+        hits = [i for i, (key, _r) in enumerate(ranked) if lo < key < hi and su[i] * sr[i] > 0]
         if len(hits) != 1:
             return False, f"{len(hits)} roots satisfy U(t) R'(t) > 0 in (-2, 2)"
-        if not hits[0] == tau:
+        if root_index(tau, ranked) != hits[0]:
             return False, "the positive-sign root differs from tau"
     return True, None
 

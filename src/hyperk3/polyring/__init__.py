@@ -29,7 +29,6 @@ from .roots import (
     AlgebraicReal,
     is_salem_trace,
     isolate_real_roots,
-    open_root_count,
     sturm_root_count,
 )
 from .atoms import (
@@ -52,7 +51,7 @@ __all__ = [
     "pair_from_trace", "pair_power", "palindrome_class", "palindromic_expand",
     "poly_gcd", "resultant", "resultant_relation", "squarefree_decomposition",
     "totient_degree", "trace_poly", "trace_polynomial_pair",
-    "is_salem_trace", "isolate_real_roots", "open_root_count",
+    "is_salem_trace", "isolate_real_roots",
     "sturm_root_count", "lehmer", "lehmer_nf", "lehmer_trace", "salem_deg22",
     "salem_m", "salem_trace_deg11", "salem_trace_mt", "salem_trace_nt",
     "parse_poly",

@@ -756,6 +756,12 @@ def _salem_shape(g: IntPoly) -> bool:
     return is_salem_trace(trace_poly(g))
 
 
+@lru_cache(maxsize=32)
+def _cyclotomic_table(totient_bound: int) -> tuple:
+    """(C_k, C_k(_PROBE)) for the k of ``_cyclotomic_indices``, built once per bound."""
+    return tuple((c, c(_PROBE)) for c in map(cyclotomic, _cyclotomic_indices(totient_bound)))
+
+
 def classify_product(f: IntPoly) -> FactorList:
     """Split off cyclotomic divisors and recognize a Salem remainder.
 
@@ -765,10 +771,9 @@ def classify_product(f: IntPoly) -> FactorList:
     """
     if not f.is_monic():
         raise ValueError("monic input required")
-    ks = _cyclotomic_indices(f.degree)
-    cyclos = [cyclotomic(k, "standard") for k in ks]
-    found, rest = _strip_factors(f.coeffs, [(c, c(_PROBE)) for c in cyclos])
-    factors = [(cyclos[i], mult, (CYCLOTOMIC_TAG, ks[i])) for i, mult in found]
+    ks, table = _cyclotomic_indices(f.degree), _cyclotomic_table(f.degree)
+    found, rest = _strip_factors(f.coeffs, table)
+    factors = [(table[i][0], mult, (CYCLOTOMIC_TAG, ks[i])) for i, mult in found]
     if rest.degree > 0:
         for part, mult in squarefree_decomposition(rest):
             tag = SALEM_TAG if mult == 1 and _salem_shape(part) else OTHER_TAG

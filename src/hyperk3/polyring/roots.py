@@ -29,14 +29,21 @@ its polynomial that ``squarefree_decomposition`` gives for its multiplicity,
 sign included; exact work needs only the catalog factor or residual part
 that isolates the root, so the squarefree part is looked up only when
 ``minpoly`` is read.
+
+Signs and root identity are read off the same order.  ``signs_at_roots``
+gives the sign of p at every root of f from one merge of their ranked
+roots, comparing exactly only where keys tie; ``root_index`` finds a number
+among a polynomial's ranked roots by one exact equality (``retargeted`` is
+that lookup).  Both work on copies and never narrow the caller's root.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import itemgetter
 
 from .atoms import lehmer_trace
@@ -93,28 +100,15 @@ def sturm_root_count(f: IntPoly, lo: Fraction, hi: Fraction) -> int:
     return _variations(chain, Fraction(lo)) - _variations(chain, Fraction(hi))
 
 
-def open_root_count(f: IntPoly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of f in the open interval (lo, hi)."""
-    n = sturm_root_count(f, lo, hi)
-    if n and f.sign_at(Fraction(hi)) == 0:
-        n -= 1
-    return n
-
-
 @lru_cache(maxsize=32)
 def _sf_chain(coeffs: tuple) -> tuple:
     """Sturm chain of the squarefree part, cached per polynomial."""
-    return tuple(_sturm_chain(_SF_CACHE(coeffs)))
-
-
-@lru_cache(maxsize=32)
-def _SF_CACHE(coeffs: tuple) -> IntPoly:
     f = IntPoly(coeffs)
     if f.degree > 1:
         g = poly_gcd(f, f.derivative())
         if g.degree > 0:
             f = f.primitive().divexact(g)
-    return f
+    return tuple(_sturm_chain(f))
 
 
 @lru_cache(maxsize=32)
@@ -281,8 +275,9 @@ class AlgebraicReal:
             if g.degree > 0:
                 lo = max(self._lo, other._lo)
                 hi = min(self._hi, other._hi)
-                # a root of g inside both isolating intervals must be both numbers
-                if lo < hi and open_root_count(g, lo, hi) >= 1:
+                # a root of g inside both isolating intervals must be both numbers;
+                # g divides both defining polynomials, so it vanishes at no endpoint
+                if lo < hi and sturm_root_count(g, lo, hi) >= 1:
                     return 0
             self._bisect_once()
             other._bisect_once()
@@ -310,43 +305,15 @@ class AlgebraicReal:
         """The same number presented as a root of p (which must vanish at it).
 
         Used to swap a reducible defining polynomial for the true minimal
-        polynomial once the containing irreducible factor is known.
+        polynomial once the containing irreducible factor is known: p's own
+        root from ``ranked_roots``, with its multiplicity in p.  self is not
+        narrowed.
         """
-        if not self.is_root_of(p):
+        ranked = ranked_roots(p)
+        i = root_index(self, ranked)
+        if i is None:
             raise ValueError("the number is not a root of the target polynomial")
-        sf = p if p.degree <= 1 else _SF_CACHE(p.coeffs)
-        for _ in range(10_000):
-            lo, hi = self._lo, self._hi
-            if (open_root_count(sf, lo, hi) == 1
-                    and sf.sign_at(lo) != 0 and sf.sign_at(hi) != 0):
-                return AlgebraicReal._trusted(sf, lo, hi, self.multiplicity)
-            self._bisect_once()
-        raise ArithmeticError("failed to isolate within the target polynomial")
-
-    def is_root_of(self, p: IntPoly) -> bool:
-        """Whether p vanishes at this number (exact)."""
-        if p.is_zero():
-            return True
-        g = poly_gcd(self._poly, p)
-        if g.degree <= 0:
-            return False
-        return open_root_count(g, self._lo, self._hi) >= 1
-
-    def sign_of(self, p: IntPoly) -> int:
-        """Exact sign of p evaluated at this number."""
-        if p.is_zero() or self.is_root_of(p):
-            return 0
-        if p.degree < 1:
-            return 1 if p.constant() > 0 else -1
-        # shrink until the interval is free of p's roots; then p has constant
-        # sign there and any interior point decides it
-        while open_root_count(p, self._lo, self._hi) > 0:
-            self._bisect_once()
-        mid = (self._lo + self._hi) / 2
-        s = p.sign_at(mid)
-        if s == 0:  # cannot happen: no p-roots inside the open interval
-            raise ArithmeticError("sign determination hit an excluded root")
-        return s
+        return ranked[i][1]
 
     def __repr__(self):
         lo, hi = float(self._lo), float(self._hi)
@@ -435,6 +402,44 @@ def rank_sorted(items: list) -> list:
     for _key, run in groupby(items, key=itemgetter(0)):
         out += sorted(run, key=cmp_to_key(lambda a, b: a[1].compare(b[1])))
     return out
+
+
+@lru_cache(maxsize=64)
+def signs_at_roots(p: IntPoly, f: IntPoly) -> tuple[int, ...]:
+    """The sign of p at each root of f, in ``ranked_roots(f)`` order, 0 where p vanishes.
+
+    The sign at a root is sign(lc p) times -1 to the number of p's roots
+    above it, with multiplicity, counted by rank key.  Equal keys are one
+    catalog root, where p vanishes, or residual roots in one slot, compared
+    exactly on the lists' own copies (one cached gcd per pair of parts).
+    """
+    roots = ranked_roots(f)
+    if p.is_zero():
+        return (0,) * len(roots)
+    p_roots = ranked_roots(p)
+    keys = [key for key, _r in p_roots]
+    above = list(accumulate((r.multiplicity for _k, r in reversed(p_roots)), initial=0))[::-1]
+    out = []
+    for key, t in roots:
+        lo, hi = bisect_left(keys, key), bisect_right(keys, key)
+        n, sign = above[hi], 1 if p.leading() > 0 else -1
+        for _k, r in p_roots[lo:hi]:
+            c = 0 if key & 1 else r.compare(t)
+            if c == 0:
+                sign = 0
+            elif c > 0:
+                n += r.multiplicity
+        out.append(sign if n % 2 == 0 else -sign)
+    return tuple(out)
+
+
+def root_index(x: AlgebraicReal, ranked: list) -> int | None:
+    """The position in ``ranked``, a ``ranked_roots`` list, of the root equal to x, or None.
+
+    Each root is compared with x exactly, on copies; only a root whose
+    interval meets x's costs more than two rational comparisons.
+    """
+    return next((i for i, (_k, r) in enumerate(ranked) if r._copy().compare(x._copy()) == 0), None)
 
 
 @lru_cache(maxsize=128)

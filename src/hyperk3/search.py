@@ -37,7 +37,6 @@ from .polyring import (
     cyclotomic_indices_up_to_degree,
     cyclotomic_trace,
     is_unramified,
-    isolate_real_roots,
     lehmer,
     lehmer_nf,
     lehmer_trace,
@@ -45,6 +44,7 @@ from .polyring import (
     salem_trace_deg11,
     totient_degree,
 )
+from .polyring.roots import endpoint_keys, ranked_roots, root_index
 from .siegel import builtin_q, siegel_test, threshold_classify_deg22
 
 MULTIPLE_OK = (1, 2, 3, 4, 6)  # the degree-one indices: integer-rooted CT_k
@@ -146,11 +146,12 @@ class SearchEntry:
 
 def _root_label(tau, poly, prefix: str) -> str:
     """y_j / x_j naming: index 1 is the largest root of poly inside (-2, 2)."""
-    inside = [r for r in isolate_real_roots(poly) if -2 < r < 2]
-    for j, root in enumerate(reversed(inside), start=1):
-        if tau == root:
-            return f"{prefix}{j}"
-    raise AssertionError("special trace is not an inside root of the expected polynomial")
+    ranked = ranked_roots(poly)
+    i = root_index(tau, ranked)
+    lo, hi = endpoint_keys()
+    if i is None or not lo < ranked[i][0] < hi:
+        raise AssertionError("special trace is not an inside root of the expected polynomial")
+    return f"{prefix}{sum(1 for key, _r in ranked[i:] if key < hi)}"
 
 
 def _worker_deg22(args):

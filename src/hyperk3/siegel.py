@@ -8,9 +8,9 @@ conjugate tau' in (-2, 2) has q(tau') > 4; it is hyperbolic when q(tau) > 4.
 
 Four shapes of q cover the constructions here: the transverse fixed point
 q = (w+1)^2/(w+2), and the three-cycle variants attached to the
-E8+A2+A2, D10 and A2 exceptional sets.  All sign decisions are exact:
-degeneracy (q(tau) in {0, 4}) is ruled out by resultants before any interval
-refinement happens, and boundary cases come back as 'indeterminate'.
+E8+A2+A2, D10 and A2 exceptional sets.  All signs are exact and read off
+root order by ``signs_at_roots``, which refines no interval of tau:
+degeneracy (q(tau) in {0, 4}) is a sign 0 and comes back 'indeterminate'.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .polyring import (
     cyclotomic,
     cyclotomic_trace,
     is_salem_trace,
-    isolate_real_roots,
     lehmer,
     lehmer_trace,
     palindromic_expand,
@@ -31,7 +30,7 @@ from .polyring import (
     salem_trace_mt,
     salem_trace_nt,
 )
-from .polyring.roots import AlgebraicReal
+from .polyring.roots import AlgebraicReal, endpoint_keys, ranked_roots, root_index, signs_at_roots
 
 W = IntPoly.variable()
 
@@ -81,15 +80,6 @@ class SiegelVerdict:
     witness: AlgebraicReal | None  # conjugate with q > 4 for 'S', tau itself for 'H'
 
 
-def _sign_q_minus(tau: AlgebraicReal, q: QFunction, c: int) -> int:
-    """Exact sign of q(tau) - c, assuming the denominator is positive at tau."""
-    p = q.numerator - IntPoly.const(c) * q.denominator
-    den_sign = tau.sign_of(q.denominator)
-    if den_sign == 0:
-        raise ZeroDivisionError("q has a pole at tau")
-    return tau.sign_of(p) * den_sign
-
-
 def siegel_test(tau: AlgebraicReal, q: QFunction) -> SiegelVerdict:
     """Apply the Siegel/hyperbolic criterion at tau with the given q.
 
@@ -102,21 +92,20 @@ def siegel_test(tau: AlgebraicReal, q: QFunction) -> SiegelVerdict:
         raise ValueError("tau must be a root of a Salem trace polynomial")
     if not (-2 < tau < 2):
         raise ValueError("tau must lie in (-2, 2)")
-    if tau.sign_of(q.denominator) == 0:
+    conjugates = ranked_roots(minimal)
+    i = root_index(tau, conjugates)
+    den, num, over4 = (signs_at_roots(p, minimal) for p in (
+        q.denominator, q.numerator, q.numerator - IntPoly.const(4) * q.denominator))
+    if den[i] == 0:
         raise ZeroDivisionError("q has a pole at tau")
-    s0 = _sign_q_minus(tau, q, 0)
-    s4 = _sign_q_minus(tau, q, 4)
-    if s0 == 0 or s4 == 0:
+    if num[i] * den[i] <= 0 or over4[i] == 0:
+        # q(tau) in {0, 4} is degenerate; q(tau) < 0 is outside the criterion
         return SiegelVerdict("indeterminate", tau, None)
-    if s4 > 0:
+    if over4[i] * den[i] > 0:
         return SiegelVerdict("H", tau, tau)
-    if s0 < 0:
-        # q(tau) < 0 falls outside the criterion's hypotheses
-        return SiegelVerdict("indeterminate", tau, None)
-    for conj in isolate_real_roots(minimal):
-        if conj == tau or not (-2 < conj < 2):
-            continue
-        if conj.sign_of(q.denominator) != 0 and _sign_q_minus(conj, q, 4) > 0:
+    lo, hi = endpoint_keys()
+    for j, (key, conj) in enumerate(conjugates):
+        if j != i and lo < key < hi and over4[j] * den[j] > 0:
             return SiegelVerdict("S", tau, conj)
     return SiegelVerdict("indeterminate", tau, None)
 
@@ -128,22 +117,20 @@ def threshold_classify_deg22(tau: AlgebraicReal) -> str:
     """Shortcut for degree-11 Salem traces: S iff tau > 1 - 2 sqrt(2).
 
     Equivalent to siegel_test with the fixed-point q, whose value crosses 4
-    exactly at tau0 on (-2, 2); the agreement is asserted.
+    exactly at tau0 on (-2, 2); the agreement is asserted, and siegel_test
+    checks the other preconditions.  On (-2, 2), tau0's minimal polynomial
+    w^2 - 2w - 7 = (w+1)^2 - 4(w+2) is negative above tau0, positive below.
     """
     minimal = tau.minpoly
-    if minimal.degree != 11 or not is_salem_trace(minimal):
+    if minimal.degree != 11:
         raise ValueError("tau must be a root in (-2,2) of a degree-11 Salem trace polynomial")
-    if not (-2 < tau < 2):
-        raise ValueError("tau must lie in (-2, 2)")
-    if tau == TAU0:
-        return "indeterminate"
-    if tau > TAU0:
-        witness = any(conj < TAU0 and -2 < conj
-                      for conj in isolate_real_roots(minimal) if not conj == tau)
-        out = "S" if witness else "indeterminate"
-    else:
-        out = "H"
     full = siegel_test(tau, builtin_q("fixed_point"))
+    conjugates = ranked_roots(minimal)
+    i = root_index(tau, conjugates)
+    signs = signs_at_roots(TAU0.minpoly, minimal)
+    lo, hi = endpoint_keys()
+    below = any(lo < key < hi and signs[j] > 0 for j, (key, _r) in enumerate(conjugates))
+    out = "H" if signs[i] > 0 else "S" if signs[i] < 0 and below else "indeterminate"
     if full.verdict != out:
         raise AssertionError("threshold shortcut disagrees with the full Siegel test")
     return out

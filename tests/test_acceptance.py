@@ -37,7 +37,8 @@ from hyperk3.polyring import (
     salem_trace_deg11,
 )
 from hyperk3.search import ct_catalog, list_ct_catalog
-from hyperk3.siegel import TAU0, _sign_q_minus, builtin_q, verify_D_identity
+from hyperk3.polyring.roots import ranked_roots, root_index, signs_at_roots
+from hyperk3.siegel import TAU0, builtin_q, verify_D_identity
 
 CT = cyclotomic_trace
 W = IntPoly.variable()
@@ -48,6 +49,14 @@ def ctp(ks):
     for k in ks:
         out = out * CT(k)
     return out
+
+
+def sign_q_minus(x, q, c):
+    """Sign of q(x) - c, read off the signs at the roots of x's minimal polynomial."""
+    f = x.minpoly
+    i = root_index(x, ranked_roots(f))
+    den = signs_at_roots(q.denominator, f)[i]
+    return signs_at_roots(q.numerator - IntPoly.const(c) * q.denominator, f)[i] * den
 
 
 def report(n, text, t0):
@@ -239,7 +248,7 @@ def _assert_printed(root, printed, slack=1):
 
 def test_criterion_09_siegel_identities():
     t0 = time.time()
-    assert _sign_q_minus(TAU0, builtin_q("fixed_point"), 4) == 0
+    assert sign_q_minus(TAU0, builtin_q("fixed_point"), 4) == 0
     x4, x3, x2, x1 = [r for r in isolate_real_roots(lehmer_trace()) if -2 < r < 2]
     xs = {1: x1, 2: x2, 3: x3, 4: x4}
     for label, signs in {
@@ -249,8 +258,8 @@ def test_criterion_09_siegel_identities():
     }.items():
         q = builtin_q(label)
         for j, sign in signs.items():
-            assert _sign_q_minus(xs[j], q, 4) == sign
-            assert _sign_q_minus(xs[j], q, 0) == 1
+            assert sign_q_minus(xs[j], q, 4) == sign
+            assert sign_q_minus(xs[j], q, 0) == 1
     assert verify_D_identity()
     assert newton_power_sum(IntPoly((-29, 20, -7, 1)), 3) == 10
     report(9, "q(tau0) = 4, the eight sign facts, D identity and p3 = 10", t0)

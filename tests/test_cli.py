@@ -197,6 +197,39 @@ def test_unit_and_recover():
     assert rep2["result"]["Phi"].replace(" ", "").startswith("w^10")
 
 
+def test_unit_checks_compatibility_at_tau_when_rho_is_zero(monkeypatch):
+    """On a rho = 0 table row, `unit` hands the special trace to verify_unit."""
+    from hyperk3.polyring import salem_trace_deg11
+    from hyperk3.polyring.roots import ranked_roots, root_index
+
+    seen = []
+    verify_unit = cli.verify_unit
+
+    def spy(U, R, tau=None):
+        seen.append((R, tau))
+        return verify_unit(U, R, tau)
+
+    monkeypatch.setattr(cli, "verify_unit", spy)
+    rc, out, _ = cap(["unit", "--phi", "CT(1)^3*CT(3)*CT(4)*CT(6)*CT(16)", "--psi", "R(1)"])
+    assert rc == 0 and json.loads(out)["result"]["unit_verified"] is True
+    [(R, tau)] = seen
+    assert R == salem_trace_deg11(1) and tau is not None and -2 < tau < 2
+    assert root_index(tau, ranked_roots(R)) is not None
+
+
+def test_bringback_rho_zero():
+    """The rho = 0 certificate has no roots; its Dynkin action is empty."""
+    args = ["bringback", "--phi", "CT(1)^3*CT(3)*CT(4)*CT(6)*CT(16)", "--psi", "R(1)",
+            "--side", "B"]
+    rc, out, _ = cap(args)
+    assert rc == 0 and '"dynkin_action":[]' in out
+    res = json.loads(out)["result"]
+    assert (res["roots"], res["dynkin"], res["word"], res["chi1_tilde"], res["trace"]) == (
+        0, [], [], "1", -1)
+    rc, out, _ = cap(args + ["--format", "pretty"])
+    assert rc == 0 and "action: identity" in out
+
+
 def test_picard_record():
     rc, out, _ = cap(["picard", "--phi", "LT*CT(4)*CT(20)", "--psi", "R(1)",
                       "--side", "A"])

@@ -94,10 +94,9 @@ def test_unit_constant_one_not_compatible():
     R = salem_trace_deg11(1)
     ok, _ = verify_unit(IntPoly.one(), R)
     assert ok  # unit check alone passes
-    from hyperk3.polyring.roots import isolate_real_roots
-    rp = R.derivative()
-    hits = [r for r in isolate_real_roots(R)
-            if -2 < r < 2 and r.sign_of(rp) > 0]
+    from hyperk3.polyring.roots import isolate_real_roots, signs_at_roots
+    hits = [r for r, s in zip(isolate_real_roots(R), signs_at_roots(R.derivative(), R))
+            if -2 < r < 2 and s > 0]
     assert len(hits) > 1  # so the tau clause must fail
     ok, why = verify_unit(IntPoly.one(), R, hits[0])
     assert not ok

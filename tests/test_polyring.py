@@ -38,6 +38,7 @@ from hyperk3.polyring import (
 )
 from hyperk3.polyring import parse
 from hyperk3.polyring.parse import ParseError
+from hyperk3.polyring.roots import signs_at_roots
 
 W = IntPoly.variable()
 
@@ -522,9 +523,10 @@ def test_algebraic_real_comparisons():
     r3 = isolate_real_roots(IntPoly((-3, 0, 1)))[1]
     assert r2 < r3
     assert r2 > 1 and r2 < 2 and r2 != Fraction(3, 2)
-    assert r2.sign_of(IntPoly((-2, 0, 1))) == 0  # its own minimal polynomial
-    assert r2.sign_of(IntPoly((-1, 1))) > 0      # x - 1 at sqrt2
-    assert r2.sign_of(IntPoly((2, -1))) > 0      # 2 - x at sqrt2
+    f = IntPoly((-2, 0, 1))  # roots -sqrt2, sqrt2
+    assert signs_at_roots(f, f)[1] == 0                   # its own minimal polynomial
+    assert signs_at_roots(IntPoly((-1, 1)), f)[1] > 0     # x - 1 at sqrt2
+    assert signs_at_roots(IntPoly((2, -1)), f)[1] > 0     # 2 - x at sqrt2
 
 
 def test_algebraic_real_rational_root():
@@ -1043,10 +1045,12 @@ def test_format_round_trip():
 
 def test_per_query_caches_are_bounded():
     """Caches keyed by arbitrary polynomials must not grow without limit."""
+    from hyperk3 import numfield
     from hyperk3.polyring import poly, roots
 
     for cached in (poly.resultant, poly.trace_polynomial_pair, poly.squarefree_decomposition,
-                   poly._cyclotomic_standard, poly.cyclotomic_trace, roots._sf_chain,
-                   roots._SF_CACHE, roots._gcd_cached, roots._isolation_cache,
-                   roots._catalog_roots, roots._split, roots._factor_resultants, poly.pair_power):
+                   poly._cyclotomic_standard, poly.cyclotomic_trace, poly._cyclotomic_table,
+                   roots._sf_chain, roots._gcd_cached, roots._isolation_cache,
+                   roots._catalog_roots, roots._split, roots._factor_resultants,
+                   roots.signs_at_roots, poly.pair_power, numfield._c_matrix):
         assert cached.cache_info().maxsize is not None, cached.__name__

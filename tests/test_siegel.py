@@ -22,10 +22,18 @@ from hyperk3.siegel import (
     siegel_test,
     threshold_classify_deg22,
     verify_D_identity,
-    _sign_q_minus,
 )
+from hyperk3.polyring.roots import ranked_roots, root_index, signs_at_roots
 
 W = IntPoly.variable()
+
+
+def sign_q_minus(x, q, c):
+    """Sign of q(x) - c, read off the signs at the roots of x's minimal polynomial."""
+    f = x.minpoly
+    i = root_index(x, ranked_roots(f))
+    den = signs_at_roots(q.denominator, f)[i]
+    return signs_at_roots(q.numerator - IntPoly.const(c) * q.denominator, f)[i] * den
 
 
 def lehmer_xs():
@@ -61,7 +69,7 @@ def test_auxiliary_salem_traces():
 
 
 def test_q_tau0_is_exactly_4():
-    assert _sign_q_minus(TAU0, builtin_q("fixed_point"), 4) == 0
+    assert sign_q_minus(TAU0, builtin_q("fixed_point"), 4) == 0
 
 
 def test_lehmer_conjugate_sign_facts():
@@ -76,8 +84,8 @@ def test_lehmer_conjugate_sign_facts():
     for label, signs in facts.items():
         q = builtin_q(label)
         for j, expected in signs.items():
-            assert _sign_q_minus(xs[j], q, 4) == expected, (label, j)
-            assert _sign_q_minus(xs[j], q, 0) == 1, (label, j)
+            assert sign_q_minus(xs[j], q, 4) == expected, (label, j)
+            assert sign_q_minus(xs[j], q, 0) == 1, (label, j)
 
 
 def test_siegel_verdicts_r1():
