@@ -33,7 +33,7 @@ from .polyring import (
     parse_poly,
 )
 from .polyring.roots import AlgebraicReal, isolate_real_roots
-from .search import list_ct_catalog, resolve_jobs, scan_deg22, scan_lehmer
+from .search import list_ct_catalog, resolve_jobs, scan_deg22_many, scan_lehmer
 from .siegel import Q_LABELS, builtin_q, siegel_test
 
 
@@ -289,10 +289,7 @@ def cmd_scan(args):
         raise CliError("--psi applies only to --family deg22", 2)
     jobs = resolve_jobs(args.jobs)
     if args.family == "deg22":
-        indices = [int(args.psi[1:])] if args.psi else list(range(1, 11))
-        entries = []
-        for i in indices:
-            entries.extend(scan_deg22(i, jobs))
+        entries = scan_deg22_many([int(args.psi[1:])] if args.psi else range(1, 11), jobs)
     elif args.family == "lehmerA":
         entries = scan_lehmer("A", jobs)
     elif args.family == "lehmerB":

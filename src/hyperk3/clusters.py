@@ -20,6 +20,7 @@ end, the number of roots above each root is a running count.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -170,6 +171,32 @@ def compute_trace_clusters(Phi: IntPoly, Psi: IntPoly, rank_parity: str = "even"
     return TraceClusters(s, tuple(a_clusters), tuple(b_clusters), a_gt2, b_gt2,
                          a_lt2, b_lt2, a_off, b_off, rank_parity, mult2, mult_neg2,
                          a_roots, b_roots)
+
+
+def gap_vector(f: IntPoly, Psi: IntPoly) -> tuple[int, ...]:
+    """The roots of f on [-2, 2], with multiplicity, counted in each gap between
+    Psi's roots there: with t such roots of Psi, entry j of the t + 1 counts
+    the roots of f above exactly j of them.
+
+    Read off rank keys alone, so it is additive over f's factors.  For Psi
+    with simple roots, all inside (-2, 2), and Phi with all roots on
+    [-2, 2], the clusters of (Phi, Psi) are its runs: A_1 is the last entry
+    and A_(s+1) the first, A_2 .. A_s are the nonzero interior entries from
+    the top, and each B cluster is the run of Psi's roots between two of
+    them.  Raises
+    ValueError where a root of f has the key of a root of Psi: a common root,
+    or two residual roots that keys do not order.
+    """
+    lo, hi = endpoint_keys()
+    on = [key for key, _r in ranked_roots(Psi) if lo <= key <= hi]
+    out = [0] * (len(on) + 1)
+    for key, r in ranked_roots(f) if f.degree >= 1 else ():
+        if lo <= key <= hi:
+            j = bisect_left(on, key)
+            if j < len(on) and on[j] == key:
+                raise ValueError("a root of f shares its rank key with a root of Psi")
+            out[j] += r.multiplicity
+    return tuple(out)
 
 
 def epsilon_sign(tc: TraceClusters) -> int:

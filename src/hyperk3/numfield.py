@@ -115,20 +115,41 @@ def verify_unit(U: IntPoly, R: IntPoly, tau: AlgebraicReal | None = None):
 
 
 def _trace_sequence(U: IntPoly, S: IntPoly, count: int) -> list[int]:
-    """t_k = (1, z^k) = (z^k, 1) under the trace form, for k = 0 .. count.
+    """t_k = (1, z^k) = (z^k, 1) under the trace form, for k = 0 .. count <= deg S.
 
     Tr^K_Q = Tr_Q(w) o Tr_K/Q(w) and Tr_K/Q(w)(z^k) = z^k + z^-k = P_k(w),
     so Euler's formula gives t_k = Tr(U P_k / R') = [U P_k]_R with
     R = trace_poly(S).  The formula holds when R is squarefree, which is
-    also when R'(w) is invertible in Z[z]/(S).
+    also when R'(w) is invertible in Z[z]/(S).  [g]_R is linear in g, so
+    t_k is the dot product of U P_k's coefficients with s_m = [w^m]_R.
     """
     if (not S.is_monic() or S.degree < 2 or S.degree % 2
             or palindrome_class(S) != "palindromic"):
         raise ValueError("S must be monic and palindromic of positive even degree")
+    if not 0 <= count <= S.degree:
+        raise ValueError("count must lie in 0 .. deg S")
     R = trace_poly(S)
+    s = _power_traces(R)
+    if U.degree >= R.degree:
+        U = U.divmod_exact(R)[1]  # [g]_R depends on g mod R only
+    return [sum(c * x for c, x in zip((U * pair_power(k)).coeffs, s)) for k in range(count + 1)]
+
+
+@lru_cache(maxsize=32)
+def _power_traces(R: IntPoly) -> tuple[int, ...]:
+    """s_m = [w^m]_R for m = 0 .. 3N - 1, once per squarefree monic R of degree N.
+
+    s_m = 0 below N - 1 and s_(N-1) = 1; w^m R = 0 mod R gives the linear
+    recurrence s_(m+N) = -sum_(j<N) r_j s_(m+j).  3N terms cover U P_k for
+    deg U < N and k <= 2N.
+    """
     if poly_gcd(R, R.derivative()).degree > 0:
         raise ValueError("the trace polynomial of S must be squarefree")
-    return [_rem_top_coeff(U * pair_power(k), R) for k in range(count + 1)]
+    n = R.degree
+    s = [0] * (n - 1) + [1]
+    while len(s) < 3 * n:
+        s.append(-sum(c * x for c, x in zip(R.coeffs, s[-n:])))
+    return tuple(s)
 
 
 def trace_form_gram(U: IntPoly, S: IntPoly):

@@ -24,7 +24,7 @@ def lehmer_trace() -> IntPoly:
     return (w + 1) * (w * w - 1) * (w * w - 4) - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=10)
 def salem_trace_deg11(i: int) -> IntPoly:
     """The ten degree-11 unramified Salem trace polynomials R_1 .. R_10."""
     if not 1 <= i <= 10:
@@ -74,7 +74,7 @@ def salem_trace_nt() -> IntPoly:
     return (w ** 2 - 2 * w - 2) * (w ** 3 - 3 * w + 1) - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def lehmer_nf(i: int) -> IntPoly:
     """The eight degree-11 products L_1 .. L_8 of LT with unramified CT factors."""
     if not 1 <= i <= 8:

@@ -16,6 +16,21 @@ Psi(-2) Res(Phi, Psi)^2 and Res is multiplicative, unimodularity is decided per
 factor (``_qualifying``, and LT for lehmerA).  Entries are emitted canonically
 sorted so repeated scans are byte-identical.  Workers can run in parallel
 across candidates (HYPERK3_THREADS) with a deterministic merge.
+
+The side-B families (deg22, lehmerB) are pruned by gap vectors before any
+certification.  ``clusters.gap_vector(CT_k, Psi)`` counts the roots of CT_k
+in each of the 11 gaps between Psi's ten inside roots, by rank key; it is
+additive, so a candidate's vector is a sum of cached per-factor vectors.
+Every CT root lies on [-2, 2], and Psi has one real root above 2 and simple
+roots inside (-2, 2), which ``_gap_vectors`` checks: then A_1 and A_(s+1)
+are the end gaps, A_2 .. A_s the nonzero interior gaps, and the B clusters
+the runs of Psi's roots between them, and side B never tries the antipode
+(it needs a root of Psi below -2).  A _HYP_B match needs s, [A_in] and
+|A_in| from one row, so the bounds of ``_side_b_bounds`` (read off the rows)
+are necessary; each only tightens as factors are added, so the walk of
+``_side_b_candidates`` cuts a failing branch and drops no entry.  The
+survivors go through ``trace_certificate_explain`` unchanged.  lehmerA
+(side A, where the antipode reverses the vector) scans every candidate.
 """
 
 from __future__ import annotations
@@ -23,7 +38,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
+from typing import NamedTuple
 
+from . import k3class
+from .clusters import gap_vector
 from .k3class import K3Certificate, trace_certificate_explain
 from .picard import (
     bring_back,
@@ -168,12 +187,19 @@ def _worker_deg22(args):
 
 def scan_deg22(r_index: int, jobs: int | None = None) -> list[SearchEntry]:
     """Every K3 configuration with Psi = R_(r_index) and Phi a CT product of degree 10."""
-    if not 1 <= r_index <= 10:
-        raise ValueError("index must be 1..10")
-    R = salem_trace_deg11(r_index)
-    if R.trace() != -1:
-        raise AssertionError("Salem trace polynomials here must have trace -1")
-    candidates = [(r_index, ms) for ms in _qualifying(R, 10, "one_multiple_le3")]
+    return scan_deg22_many([r_index], jobs)
+
+
+def scan_deg22_many(indices, jobs: int | None = None) -> list[SearchEntry]:
+    """scan_deg22 for each R_i, i in indices, through one worker pool."""
+    candidates = []
+    for i in indices:
+        if not 1 <= i <= 10:
+            raise ValueError("index must be 1..10")
+        R = salem_trace_deg11(i)
+        if R.trace() != -1:
+            raise AssertionError("Salem trace polynomials here must have trace -1")
+        candidates += [(i, ms) for ms in _side_b_candidates(R)]
     return _run(_worker_deg22, candidates, jobs)
 
 
@@ -181,8 +207,103 @@ def _qualifying(Psi: IntPoly, degree: int, multiplicity_rule: str):
     """The CT products of the degree making a unimodular pair with Psi; none if Psi is ramified."""
     if not is_unramified(Psi):
         return []
-    ok = {k: abs(resultant(cyclotomic_trace(k), Psi)) == 1 for k, _d in ct_catalog()}
-    return [m for m in _ct_products(degree, multiplicity_rule) if all(ok[k] for k in m)]
+    ok = {k for k, _d in _unit_factors(Psi)}
+    return [m for m in _ct_products(degree, multiplicity_rule) if ok.issuperset(m)]
+
+
+def _unit_factors(Psi: IntPoly) -> list:
+    """(k, deg CT_k) of the catalog factors with |Res(CT_k, Psi)| = 1, in catalog order."""
+    return [(k, d) for k, d in ct_catalog() if abs(resultant(cyclotomic_trace(k), Psi)) == 1]
+
+
+_DEG_PHI = 10  # side B's Phi: the trace polynomial of a degree-22 phi over z^2 - 1
+
+
+class _Bounds(NamedTuple):
+    """What the _HYP_B rows allow the gap vector of Phi."""
+
+    max_gap: int        # largest interior gap: the largest A_in cluster size
+    max_multiple: int   # most interior gaps of size >= 2 in one row
+    max_ends: int       # end gaps together: deg Phi - the smallest |A_in|
+    min_nonzero: int    # fewest nonzero interior gaps: the smallest s, minus 1
+
+
+def _side_b_bounds() -> _Bounds:
+    """The _Bounds, read off k3class._HYP_B on every call, so a row edit moves them."""
+    rows = k3class._HYP_B
+    return _Bounds(max(max(want_a) for _c, _s, want_a, *_rest in rows),
+                   max(sum(n for size, n in want_a.items() if size >= 2)
+                       for _c, _s, want_a, *_rest in rows),
+                   _DEG_PHI - min(ain for _c, _s, _a, _b, ain, *_rest in rows),
+                   min(s for _c, s, *_rest in rows) - 1)
+
+
+def _fits(g, remaining: int, bounds: _Bounds) -> bool:
+    """Whether a partial Phi with gap vector g, short of degree ``remaining``,
+    can still match a _HYP_B row.  Every bound only tightens as factors are
+    added, so a branch that fails stays failed."""
+    interior = g[1:-1]
+    nonzero = len(interior) - interior.count(0)
+    return (max(interior) <= bounds.max_gap
+            and nonzero - interior.count(1) <= bounds.max_multiple
+            and g[0] + g[-1] <= bounds.max_ends
+            and nonzero + remaining >= bounds.min_nonzero)
+
+
+@lru_cache(maxsize=32)
+def _gap_vectors(Psi: IntPoly) -> tuple:
+    """(k, deg CT_k, gap_vector(CT_k, Psi)) for the factors of ``_unit_factors(Psi)``.
+
+    Raises ValueError unless Psi has one real root above 2 and its other
+    roots simple inside (-2, 2), and unless every factor's roots lie on
+    [-2, 2]: pruning by gap vectors assumes both.
+    """
+    lo, hi = endpoint_keys()
+    ranked = ranked_roots(Psi)
+    above = sum(r.multiplicity for key, r in ranked if key > hi)
+    inside = [r.multiplicity for key, r in ranked if lo < key < hi]
+    if not (above == 1 and inside.count(1) == Psi.degree - 1):
+        raise ValueError("side B pruning needs Psi with one real root above 2 and "
+                         "all its other roots simple inside (-2, 2)")
+    out = tuple((k, d, gap_vector(cyclotomic_trace(k), Psi)) for k, d in _unit_factors(Psi))
+    for k, d, g in out:
+        if sum(g) != d:
+            raise ValueError(f"CT_{k} has a root off [-2, 2]")
+    return out
+
+
+def _side_b_candidates(Psi: IntPoly) -> list:
+    """The candidates of _qualifying(Psi, 10, "one_multiple_le3"), in its order,
+    whose summed gap vectors fit the _side_b_bounds.
+
+    A depth-first walk over the unit factors adds their gap vectors and cuts
+    a branch as soon as ``_fits`` fails; no product is multiplied out.
+    """
+    if not is_unramified(Psi):
+        return []
+    bounds, found = _side_b_bounds(), []
+    # per factor, each allowed multiplicity with its degree and scaled gap vector
+    factors = [(k, [(m, m * d, tuple(m * x for x in g))
+                    for m in ((1, 2, 3) if k in MULTIPLE_OK else (1,))])
+               for k, d, g in _gap_vectors(Psi)]
+
+    def walk(start, remaining, g, acc, repeated):
+        if remaining == 0:
+            found.append(tuple(sorted(acc)))
+            return
+        for j in range(start, len(factors)):
+            k, choices = factors[j]
+            if choices[0][1] > remaining:
+                break  # the catalog runs by increasing degree
+            for mult, degree, v in choices[:1] if repeated else choices:
+                if degree > remaining:
+                    break
+                h = tuple(map(add, g, v))
+                if _fits(h, remaining - degree, bounds):
+                    walk(j + 1, remaining - degree, h, acc + (k,) * mult, repeated or mult > 1)
+
+    walk(0, _DEG_PHI, (0,) * Psi.degree, (), False)
+    return sorted(found)
 
 
 def _entry_key(e: SearchEntry):
@@ -240,8 +361,7 @@ def scan_lehmer(side: str, jobs: int | None = None) -> list[SearchEntry]:
                       for ks in _qualifying(salem_trace_deg11(i), 5, "sets_only")]
         return _run(_worker_lehmer_a, candidates, jobs)
     if side == "B":
-        candidates = [(i, ms) for i in range(1, 9)
-                      for ms in _qualifying(lehmer_nf(i), 10, "one_multiple_le3")]
+        candidates = [(i, ms) for i in range(1, 9) for ms in _side_b_candidates(lehmer_nf(i))]
         return _run(_worker_lehmer_b, candidates, jobs)
     raise ValueError("side must be 'A' or 'B'")
 

@@ -78,3 +78,40 @@ def lehmer_b_entries():
     from hyperk3.search import scan_lehmer
 
     return scan_lehmer("B", jobs=_jobs())
+
+
+@pytest.fixture(scope="session")
+def unpruned_side_b():
+    """Every deg22 and lehmerB candidate of ``_qualifying``, pruned or not, through the
+    scan worker: {family: (entries, rejected)}, with the entries canonically sorted and
+    ``rejected`` the (Psi index, multiset) pairs trace_certificate_explain rejects.
+    About 12,850 certifications, run once per session."""
+    from hyperk3 import search
+    from hyperk3.polyring import lehmer_nf, salem_trace_deg11
+
+    real, certs = search.trace_certificate_explain, []
+
+    def recording(Phi, Psi, side):
+        out = real(Phi, Psi, side)
+        certs.append(out[0])
+        return out
+
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "trace_certificate_explain", recording)
+        for family, worker, psis in (
+                ("deg22", search._worker_deg22, {i: salem_trace_deg11(i) for i in range(1, 11)}),
+                ("lehmerB", search._worker_lehmer_b, {i: lehmer_nf(i) for i in range(1, 9)})):
+            entries, rejected = [], set()
+            for i, Psi in psis.items():
+                for ms in search._qualifying(Psi, 10, "one_multiple_le3"):
+                    del certs[:]
+                    entry = worker((i, ms))
+                    if len(certs) != 1:
+                        raise AssertionError("one certification per candidate expected")
+                    if certs[0] is None:
+                        rejected.add((i, ms))
+                    if entry is not None:
+                        entries.append(entry)
+            out[family] = (sorted(entries, key=search._entry_key), rejected)
+    return out

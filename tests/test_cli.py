@@ -105,7 +105,7 @@ def test_bad_scan_psi_exit_2_before_any_work(argv, monkeypatch):
     def no_work(*_args, **_kwargs):
         raise AssertionError("the scan started")
 
-    monkeypatch.setattr(cli, "scan_deg22", no_work)
+    monkeypatch.setattr(cli, "scan_deg22_many", no_work)
     monkeypatch.setattr(cli, "scan_lehmer", no_work)
     rc, out, err = cap(["scan", *argv])
     assert (rc, out) == (2, "")
@@ -273,3 +273,42 @@ def test_parser_reuse_keeps_defaults():
         rc, out, _ = cap(argv)
         assert (rc, out) == _first_call(argv), argv
     assert cli._parser.cache_info().misses == 1
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+@pytest.mark.parametrize("family", ["deg22", "lehmerA", "lehmerB"])
+def test_scan_matches_golden(family, fmt, request, monkeypatch):
+    """`hyperk3 scan` prints the committed bytes; the scans themselves run once per
+    session, in the fixtures whose entries the patched scan functions return."""
+    if family == "deg22":
+        entries = request.getfixturevalue("deg22_entries")
+        monkeypatch.setattr(cli, "scan_deg22_many",
+                            lambda indices, jobs: [e for i in indices for e in entries[i]])
+    else:
+        entries = request.getfixturevalue("lehmer_a_entries" if family == "lehmerA"
+                                          else "lehmer_b_entries")
+        monkeypatch.setattr(cli, "scan_lehmer", lambda side, jobs: entries)
+    rc, out, _err = cap(["scan", "--family", family, "--format", fmt])
+    assert rc == 0
+    assert out == (GOLDEN / f"scan_{family}.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("family, psi", [("deg22", "R7"), ("lehmerB", None)],
+                         ids=["deg22-R7", "lehmerB"])
+def test_scan_pool_prints_the_serial_bytes(family, psi, monkeypatch):
+    """With two workers the scan prints what one worker prints (the goldens), and
+    leaves no worker process behind."""
+    import multiprocessing
+
+    from hyperk3 import search
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    rc, out, _err = cap(["scan", "--family", family, "--jobs", "2"]
+                        + (["--psi", psi] if psi else []))
+    golden = (GOLDEN / f"scan_{family}.json").read_text().splitlines(keepends=True)
+    want = "".join(line for line in golden if psi is None or f'"psi":"{psi}"' in line)
+    assert rc == 0 and want and out == want
+    assert multiprocessing.active_children() == []

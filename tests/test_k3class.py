@@ -296,8 +296,9 @@ def test_side_b_antipode_skip_loses_nothing():
 
 
 def test_scan_computes_clusters_once_per_candidate(monkeypatch):
+    """Once per candidate that survives the gap-vector pruning."""
     from hyperk3 import k3class
-    from hyperk3.search import scan_deg22
+    from hyperk3.search import _side_b_candidates, scan_deg22
 
     calls = []
     real = k3class.compute_trace_clusters
@@ -309,7 +310,7 @@ def test_scan_computes_clusters_once_per_candidate(monkeypatch):
     monkeypatch.setattr(k3class, "compute_trace_clusters", counting)
     entries = scan_deg22(7, jobs=1)
     assert entries
-    assert len(calls) == len(_r7_candidates())
+    assert len(calls) == len(_side_b_candidates(salem_trace_deg11(7))) < len(_r7_candidates())
 
 
 def test_local_index_special_trace_compares_no_two_roots(monkeypatch):

@@ -12,6 +12,7 @@ from hyperk3.clusters import compute_trace_clusters, index
 from hyperk3.hyplattice import build_lattice, companion
 from hyperk3.k3class import k3_certificate
 from hyperk3.numfield import (
+    _trace_sequence,
     multiplication_matrix,
     recover_phi,
     trace_form_gram,
@@ -26,6 +27,7 @@ from hyperk3.polyring import (
     palindrome_class,
     palindromic_expand,
     parse_poly,
+    poly_gcd,
     salem_deg22,
     salem_trace_deg11,
     trace_poly,
@@ -238,15 +240,63 @@ def test_matches_rational_matrix_reference(Phi, i):
     assert recover_phi(U, S) == ref_recover_phi(U, S, gram) == Phi
 
 
-def test_recover_phi_every_table_row(svh_fixture):
+@pytest.fixture(scope="module")
+def table_units(svh_fixture):
+    """(i, ks, Phi, U) for the 255 distinct deg22 table rows."""
     rows = sorted({(int(psi[1:]), ks) for psi, _case, ks, _st, _v in svh_fixture})
-    assert len(rows) == 255
+    out = []
     for i, ks in rows:
         Phi = IntPoly.one()
         for k in ks:
             Phi = Phi * CT(k)
-        R = salem_trace_deg11(i)
-        assert recover_phi(unit_of(Phi, R), salem_deg22(i)) == Phi, (i, ks)
+        out.append((i, ks, Phi, unit_of(Phi, salem_trace_deg11(i))))
+    return out
+
+
+def test_recover_phi_every_table_row(table_units):
+    assert len(table_units) == 255
+    for i, ks, Phi, U in table_units:
+        assert recover_phi(U, salem_deg22(i)) == Phi, (i, ks)
+
+
+def _rem_top_coeff(g, R):
+    q, r = g.divmod_exact(R)
+    n = R.degree
+    return r.coeffs[n - 1] if r.degree == n - 1 else 0
+
+
+def ref_trace_sequence(U, S, count):
+    """numfield._trace_sequence as it was before the cached power traces: one
+    product and one division by R per t_k, and the squarefree check on every call
+    (reference only)."""
+    if (not S.is_monic() or S.degree < 2 or S.degree % 2
+            or palindrome_class(S) != "palindromic"):
+        raise ValueError("S must be monic and palindromic of positive even degree")
+    R = trace_poly(S)
+    if poly_gcd(R, R.derivative()).degree > 0:
+        raise ValueError("the trace polynomial of S must be squarefree")
+    return [_rem_top_coeff(U * pair_power(k), R) for k in range(count + 1)]
+
+
+def test_trace_sequence_matches_old(table_units):
+    """t_k from the cached s_m = [w^m]_R equals the per-k division, on the 255 table
+    units and on seeded random U of every degree below 11, including U >= deg R
+    reduced mod R."""
+    import random
+
+    pairs = [(U, i) for i, _ks, _Phi, U in table_units]
+    rng = random.Random(28)
+    for _ in range(200):
+        i = rng.randint(1, 10)
+        pairs.append((IntPoly([rng.randint(-50, 50) for _ in range(rng.randint(1, 14))]), i))
+    for U, i in pairs:
+        S = salem_deg22(i)
+        for count in (0, 22):
+            assert _trace_sequence(U, S, count) == ref_trace_sequence(U, S, count), (U, i)
+    S = parse_poly("(z^2-3*z+1)^2")[1]
+    for trace_sequence in (_trace_sequence, ref_trace_sequence):
+        with pytest.raises(ValueError, match="squarefree"):
+            trace_sequence(IntPoly.one(), S, 2)
 
 
 # (U, S) pairs both constructions reject; S = z^2 - 3z + 1 has R = w - 3

@@ -1045,12 +1045,14 @@ def test_format_round_trip():
 
 def test_per_query_caches_are_bounded():
     """Caches keyed by arbitrary polynomials must not grow without limit."""
-    from hyperk3 import numfield
-    from hyperk3.polyring import poly, roots
+    from hyperk3 import numfield, search
+    from hyperk3.polyring import atoms, poly, roots
 
     for cached in (poly.resultant, poly.trace_polynomial_pair, poly.squarefree_decomposition,
                    poly._cyclotomic_standard, poly.cyclotomic_trace, poly._cyclotomic_table,
                    roots._sf_chain, roots._gcd_cached, roots._isolation_cache,
                    roots._catalog_roots, roots._split, roots._factor_resultants,
-                   roots.signs_at_roots, poly.pair_power, numfield._c_matrix):
+                   roots.signs_at_roots, poly.pair_power, numfield._c_matrix,
+                   numfield._power_traces, atoms.salem_trace_deg11, atoms.lehmer_nf,
+                   search._gap_vectors):
         assert cached.cache_info().maxsize is not None, cached.__name__

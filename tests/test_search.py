@@ -1,5 +1,7 @@
 """Search harness against the golden transcriptions of the reference tables."""
 
+import functools
+
 from hyperk3.polyring import (
     cyclotomic_trace,
     is_unramified,
@@ -244,10 +246,11 @@ def test_scan_computes_no_rank22_check(monkeypatch, deg22_entries):
 
 
 def test_rejected_candidates_compare_no_algebraic_numbers(monkeypatch):
-    """On scan_deg22(7), a rejected candidate makes no AlgebraicReal.compare call and runs
-    Yun on no polynomial with a catalog factor: ranks order its roots, the split finds
-    its multiplicities.  R7's own roots are placed among the catalog roots beforehand,
-    once per Psi."""
+    """On every one of the 272 R7 candidates, a rejected candidate makes no
+    AlgebraicReal.compare call and runs Yun on no polynomial with a catalog factor:
+    ranks order its roots, the split finds its multiplicities.  R7's own roots are
+    placed among the catalog roots beforehand, once per Psi.  scan_deg22(7) prunes by
+    gap vectors without a comparison, and certifying all 272 finds its entries."""
     from hyperk3.polyring import IntPoly, isolate_real_roots, roots
     from hyperk3.polyring.roots import AlgebraicReal
 
@@ -275,9 +278,175 @@ def test_rejected_candidates_compare_no_algebraic_numbers(monkeypatch):
         return out
 
     monkeypatch.setattr(search, "trace_certificate_explain", core)
+    search._gap_vectors.cache_clear()
+    assert search._side_b_candidates(R7) and not compares
     entries = scan_deg22(7, jobs=1)
+    del per_candidate[:]
+    every = [(7, ms) for ms in _qualifying(R7, 10, "one_multiple_le3")]
+    assert [e.row() for e in search._run(search._worker_deg22, every, 1)] == \
+        [e.row() for e in entries]
     rejected = [(n, parts) for is_rejected, n, parts in per_candidate if is_rejected]
     assert len(per_candidate) == 272 and len(rejected) == 272 - len(entries) > 200
     assert sum(n for n, _parts in rejected) == 0
     assert all(f in (IntPoly.one(), R7) for _n, parts in rejected for f in parts)
     assert sum(n for is_rejected, n, _parts in per_candidate if not is_rejected) > 0
+
+
+# ---------------------------------------------------------------------------
+# side-B pruning by gap vectors
+# ---------------------------------------------------------------------------
+
+
+def _side_b_psis():
+    return [("R", i, salem_trace_deg11(i)) for i in range(1, 11)] + \
+        [("L", i, lehmer_nf(i)) for i in range(1, 9)]
+
+
+@functools.lru_cache(maxsize=64)
+def _factor_gaps(k, Psi):
+    from hyperk3.clusters import gap_vector
+
+    return gap_vector(cyclotomic_trace(k), Psi)
+
+
+def _summed_gaps(ms, Psi):
+    out = [0] * Psi.degree
+    for k in ms:
+        out = [a + b for a, b in zip(out, _factor_gaps(k, Psi))]
+    return tuple(out)
+
+
+def test_pruning_walk_equals_filter_by_bounds():
+    """For every R_i and L_i, the depth-first walk finds exactly the _qualifying
+    candidates whose summed gap vectors fit the bounds, in _qualifying's order."""
+    bounds, counts = search._side_b_bounds(), {"R": 0, "L": 0}
+    for family, _i, Psi in _side_b_psis():
+        want = [ms for ms in _qualifying(Psi, 10, "one_multiple_le3")
+                if search._fits(_summed_gaps(ms, Psi), 0, bounds)]
+        assert search._side_b_candidates(Psi) == want
+        counts[family] += len(want)
+    assert counts == {"R": 1179, "L": 285}
+
+
+@pytest.mark.parametrize("label", ["R7", "L3"])
+def test_gap_vectors_are_the_clusters(label):
+    """gap_vector is additive over factors, and its runs are the clusters of the pair:
+    A_1 the top entry, A_2 .. A_s the nonzero interior entries from the top, A_(s+1)
+    the bottom entry, and the B clusters the runs of Psi's roots between them."""
+    from hyperk3.clusters import compute_trace_clusters, gap_vector
+
+    Psi = (salem_trace_deg11 if label[0] == "R" else lehmer_nf)(int(label[1:]))
+    for ms in _qualifying(Psi, 10, "one_multiple_le3"):
+        Phi = ct_product(ms)
+        g = gap_vector(Phi, Psi)
+        assert g == _summed_gaps(ms, Psi) and sum(g) == 10
+        top_down = g[::-1]
+        a_sizes = [top_down[0]] + [x for x in top_down[1:-1] if x] + [top_down[-1]]
+        b_sizes = [1]
+        for x in top_down[1:-1]:
+            if x:
+                b_sizes.append(1)
+            else:
+                b_sizes[-1] += 1
+        tc = compute_trace_clusters(Phi, Psi)
+        assert (tc.cluster_sizes("A"), tc.cluster_sizes("B")) == (a_sizes, b_sizes), ms
+
+
+def test_pruned_candidates_are_rejected(unpruned_side_b):
+    """Every candidate the walk drops is rejected by trace_certificate_explain, and every
+    side-B certificate (255 deg22, 55 lehmerB) is among the survivors."""
+    for family, psis, pruned_count, certified in (("deg22", _side_b_psis()[:10], 6400, 255),
+                                                  ("lehmerB", _side_b_psis()[10:], 4989, 55)):
+        _entries, rejected = unpruned_side_b[family]
+        every = {(i, ms) for _f, i, Psi in psis for ms in _qualifying(Psi, 10, "one_multiple_le3")}
+        kept = {(i, ms) for _f, i, Psi in psis for ms in search._side_b_candidates(Psi)}
+        assert kept <= every and len(every - kept) == pruned_count
+        assert every - kept <= rejected
+        assert len(every - rejected) == certified and every - rejected <= kept
+
+
+def test_pruned_scans_equal_full_scans(unpruned_side_b, deg22_entries, lehmer_b_entries):
+    full_deg22, _rejected = unpruned_side_b["deg22"]
+    full_lehmer_b, _rejected = unpruned_side_b["lehmerB"]
+    assert [e.row() for e in full_deg22] == \
+        [e.row() for i in range(1, 11) for e in deg22_entries[i]]
+    assert [e.row() for e in full_lehmer_b] == [e.row() for e in lehmer_b_entries]
+
+
+def test_certification_once_per_survivor(monkeypatch):
+    """The scans certify each surviving candidate once: 1,179 deg22 and 285 lehmerB."""
+    calls = []
+
+    def counting(Phi, Psi, side):
+        calls.append(side)
+        return None, "counted"
+
+    monkeypatch.setattr(search, "trace_certificate_explain", counting)
+    assert search.scan_deg22_many(range(1, 11), jobs=1) == []
+    assert calls == ["B"] * 1179
+    del calls[:]
+    assert search.scan_lehmer("B", jobs=1) == []
+    assert calls == ["B"] * 285
+
+
+def test_bounds_follow_the_table(monkeypatch):
+    """The bounds are read off the _HYP_B rows: a row edit changes them, and looser
+    bounds keep every candidate the table's rows kept."""
+    from hyperk3 import k3class
+
+    assert search._side_b_bounds() == (3, 1, 3, 7)
+    R7 = salem_trace_deg11(7)
+    kept = search._side_b_candidates(R7)
+    rows = list(k3class._HYP_B)
+    rows[0] = (1, 7, {1: 4, 2: 2}, {1: 6, 2: 1, 3: 1}, 8, (), ("middle_tc", "B"))
+    monkeypatch.setattr(k3class, "_HYP_B", tuple(rows))
+    assert search._side_b_bounds() == (3, 2, 2, 6)
+    rows[1] = (2, 8, {1: 2, 5: 1}, {1: 7, 3: 1}, 6, (), ("middle_tc", "B"))
+    monkeypatch.setattr(k3class, "_HYP_B", tuple(rows))
+    assert search._side_b_bounds() == (5, 2, 4, 6)
+    looser = search._side_b_candidates(R7)
+    assert set(kept) < set(looser)
+
+
+def test_pruning_preconditions_raise(monkeypatch):
+    """Pruning refuses a Psi or factor outside its assumptions instead of falling back."""
+    from hyperk3.clusters import gap_vector
+    from hyperk3.k3class import antipode_pair
+
+    R7 = salem_trace_deg11(7)
+    below = antipode_pair(R7, R7)[0]  # one root below -2, none above 2
+    assert is_unramified(below) and _qualifying(below, 10, "one_multiple_le3")
+    with pytest.raises(ValueError, match="one real root above 2"):
+        search._side_b_candidates(below)
+    with pytest.raises(ValueError, match="shares its rank key"):
+        gap_vector(cyclotomic_trace(5) * cyclotomic_trace(7), cyclotomic_trace(7) * R7)
+    search._gap_vectors.cache_clear()
+    monkeypatch.setattr(search, "gap_vector", lambda f, Psi: (0,) * Psi.degree)
+    with pytest.raises(ValueError, match=r"root off \[-2, 2\]"):
+        search._side_b_candidates(R7)
+    search._gap_vectors.cache_clear()
+
+
+def test_pool_starts_after_the_parent_ranks_the_catalog(monkeypatch, deg22_entries):
+    """Pruning in the parent builds _catalog_ranks, so forked workers inherit it; the
+    pool is gone when the scan returns."""
+    import concurrent.futures
+    import multiprocessing
+
+    from hyperk3.polyring import roots
+
+    filled = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            filled.append(roots._catalog_ranks.cache_info().currsize)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    roots._catalog_ranks.cache_clear()
+    search._gap_vectors.cache_clear()
+    entries = scan_deg22(7, jobs=2)
+    assert filled == [1]
+    assert [e.row() for e in entries] == [e.row() for e in deg22_entries[7]]
+    assert multiprocessing.active_children() == []
