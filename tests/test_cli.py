@@ -1,6 +1,7 @@
 """CLI dispatch, formats, exit codes and report stability."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -294,6 +295,23 @@ def test_scan_matches_golden(family, fmt, request, monkeypatch):
     rc, out, _err = cap(["scan", "--family", family, "--format", fmt])
     assert rc == 0
     assert out == (GOLDEN / f"scan_{family}.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("command, fmt", [("bringback", "json"), ("bringback", "tsv"),
+                                          ("bringback", "pretty"), ("picard", "json")])
+def test_lehmer_rows_match_golden(command, fmt):
+    """On the 39 rows of min_a.tsv and min_b.tsv, the command prints output whose
+    SHA-256 is the committed one; each golden line is phi, psi, side, digest."""
+    golden = GOLDEN / f"{command}.{fmt}.sha256"
+    rows = [line.split("\t") for line in golden.read_text().splitlines()]
+    assert len(rows) == 39
+    wrong = []
+    for phi, psi, side, digest in rows:
+        rc, out, _err = cap([command, "--phi", phi, "--psi", psi, "--side", side,
+                             "--format", fmt])
+        if rc != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+            wrong.append((phi, psi, rc))
+    assert wrong == []
 
 
 @pytest.mark.parametrize("family, psi", [("deg22", "R7"), ("lehmerB", None)],
