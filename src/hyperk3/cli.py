@@ -17,14 +17,7 @@ from fractions import Fraction
 from .hyplattice import build_lattice, is_unimodular
 from .k3class import k3_certificate_explain
 from .numfield import recover_phi, unit_from_gram, verify_unit
-from .picard import (
-    bring_back,
-    dynkin_action,
-    enumerate_root_system,
-    picard_from_certificate,
-    positive_simple_roots,
-    preserves_positive_roots,
-)
+from .picard import PositivityError, picard_from_certificate, transport
 from .polyring import (
     IntPoly,
     ParseError,
@@ -208,19 +201,19 @@ def _certify_any(phi, psi, side):
 
 
 def _pipeline(args):
+    """The report inputs and the non-projective certificate of picard and bringback."""
     phi, psi = normalize_pair(args.phi, args.psi)
     cert, reason = _certify_any(phi, psi, args.side)
     if cert is None:
         raise CliError(f"no certificate: {reason}", 4 if args.strict else 3)
     if cert.projective:
         raise CliError("projective case: the chamber transport is out of scope", 3)
-    pic = picard_from_certificate(cert)
-    return phi, psi, cert, pic
+    return {"phi": phi.format("z"), "psi": psi.format("z"), "side": args.side}, cert
 
 
 def cmd_picard(args):
-    phi, psi, cert, pic = _pipeline(args)
-    inputs = {"phi": phi.format("z"), "psi": psi.format("z"), "side": args.side}
+    inputs, cert = _pipeline(args)
+    pic = picard_from_certificate(cert)
     result = {
         "rho": pic.rho,
         "gram_pos": pic.gram_pos,
@@ -232,16 +225,13 @@ def cmd_picard(args):
 
 
 def cmd_bringback(args):
-    phi, psi, cert, pic = _pipeline(args)
-    inputs = {"phi": phi.format("z"), "psi": psi.format("z"), "side": args.side}
-    roots = enumerate_root_system(pic.gram_pos)
-    rs = positive_simple_roots(roots, pic.gram_pos)
-    res = bring_back(pic, rs)
-    if not preserves_positive_roots(res, rs):
+    inputs, cert = _pipeline(args)
+    try:
+        _pic, rs, res, cycles = transport(cert)
+    except PositivityError:
         raise CliError("internal: modified matrix fails to preserve positive roots", 3)
-    _mapping, cycles = dynkin_action(res, rs)
     result = {
-        "roots": len(roots),
+        "roots": len(rs.all_roots),
         "positive_roots": len(rs.positive_roots),
         "simple_roots": len(rs.simple_roots),
         "dynkin": list(rs.dynkin),
@@ -252,7 +242,7 @@ def cmd_bringback(args):
         "dynkin_action": [list(c) for c in cycles],
     }
     pretty = [
-        f"roots: {len(roots)}  positive: {len(rs.positive_roots)}  simple: {len(rs.simple_roots)}",
+        f"roots: {len(rs.all_roots)}  positive: {len(rs.positive_roots)}  simple: {len(rs.simple_roots)}",
         f"dynkin type: {' + '.join(rs.dynkin) if rs.dynkin else '(empty)'}",
         "word: " + (" o ".join(f"s{j}" for j in res.word) if res.word else "(identity)"),
         f"chi1~: {res.chi1_tilde.format('z')}",

@@ -83,7 +83,8 @@ class TraceClusters:
         return out
 
     def signature_string(self, side: str) -> str:
-        """The cluster pattern word, e.g. '0^2 1^7 2^1'."""
+        """The cluster pattern word, e.g. '0^2 1^7 2^1'.  No caller in the package:
+        kept as the paper's notation, which test_clusters checks."""
         pat = self.pattern(side)
         return " ".join(f"{size}^{pat[size]}" for size in sorted(pat))
 
@@ -316,7 +317,8 @@ def cluster_group_indices(tc: TraceClusters, rank: int) -> ClusterGroupIndices:
     idx(1) = eps (-1)^|A1°|, idx(-1) = eps delta (-1)^|A_{s+1}°|,
     Idx(A1°) = eps Par(|A1°|), Idx(A_{s+1}°) = eps delta Par(|A_{s+1}°|),
     Idx(A_in) = -eps S, Idx(B_on) = (p-q)/2, where ° removes the +-2
-    endpoints.  Cross-checkable against per-root local_index sums.
+    endpoints.  Cross-checkable against per-root local_index sums.  No caller
+    in the package: kept as the paper's identities, which test_clusters checks.
     """
     if tc.rank_parity != "even":
         raise ValueError("cluster group indices are stated for even rank")
@@ -429,7 +431,8 @@ def match_lorentz_patterns(a_sizes, b_sizes, a_off: int, b_off: int,
 
 
 def lorentz_classify(tc: TraceClusters, rank: int) -> int | None:
-    """Lorentzian type 1..5 of the invariant form, or None if not Lorentzian."""
+    """Lorentzian type 1..5 of the invariant form, or None if not Lorentzian.
+    No caller in the package: kept as the paper's table, which test_clusters checks."""
     if tc.no_clusters:
         return None
     data = index(tc)

@@ -43,10 +43,11 @@ def taylor_coeffs(phi: IntPoly, psi: IntPoly, count: int) -> list[int]:
 
 
 def companion(f: IntPoly) -> list[list[int]]:
-    """Companion matrix with 1s on the subdiagonal and -coeffs in the last column."""
+    """Companion matrix with 1s on the subdiagonal and -coeffs in the last column;
+    the monic constant 1 gives the empty matrix."""
+    if not f.is_monic():
+        raise ValueError("companion matrix needs a monic polynomial")
     n = f.degree
-    if n < 1 or not f.is_monic():
-        raise ValueError("companion matrix needs a monic polynomial of positive degree")
     m = [[0] * n for _ in range(n)]
     for i in range(1, n):
         m[i][i - 1] = 1

@@ -134,7 +134,8 @@ def classify_rank22(tc: TraceClusters):
     """Match [A_in], [B_on] and s against the index +-16 table.
 
     Returns (case, eps_p_minus_q) or None; eps_p_minus_q = 1 + delta - 2S,
-    the index stripped of its eps factor.
+    the index stripped of its eps factor.  No caller in the package: kept as
+    the paper's table, which test_k3class checks.
     """
     if tc.no_clusters:
         return None

@@ -12,6 +12,16 @@ then a Fincke-Pohst search in integers) and mapped back, so positivity, the
 lexicographic order and the positive-root indices all refer to the standard
 basis.
 
+Two identities of root systems (Bourbaki, *Lie Groups and Lie Algebras*,
+ch. VI) replace searches over all positive roots.  Height: roots have norm
+2, so a root is its own coroot and the height of a positive root alpha is
+(delta, alpha), delta the Weyl vector; the simple roots are the positive
+roots with (2 delta, alpha) = 2.  Simple roots decide positivity: as every
+positive root is a nonnegative combination of simple roots, an isometry
+permuting the roots keeps the positive roots positive iff it maps every
+simple root to a positive, hence simple, root.  So the Dynkin action, which
+maps the simple roots, is the positivity guard.
+
 The chamber transport is the greedy reflection ascent: starting from
 d = F(2 delta), with 2 delta the integral sum of the positive roots,
 repeatedly apply the Picard-Lefschetz reflection that maximally increases
@@ -19,7 +29,7 @@ the pairing with the Weyl vector delta.  The applied reflections compose to
 the unique Weyl element w_F with w_F(F(K)) = K, but w_F is never formed:
 each reflection acts in place on F|Pic and on F, all in integers.  The
 result is guarded by the restriction identity F~ S = S F~|Pic, with S the
-basis of Pic in L.
+basis of Pic in L.  ``transport`` runs the whole pipeline on a certificate.
 """
 
 from __future__ import annotations
@@ -88,8 +98,7 @@ def picard_gram(lattice: HgLattice, cert: K3Certificate) -> PicardLattice:
     for i in range(rho):
         for a, ca in enumerate(c):
             basis[i + a][i] = ca  # s_i = z^(i-1) chi0(z) on the power basis
-    f_on_pic = companion(cert.chi1) if rho else []
-    return PicardLattice(rho, gram_pos, f_on_pic, basis, sign_pic,
+    return PicardLattice(rho, gram_pos, companion(cert.chi1), basis, sign_pic,
                          lattice, side, chi, cert.chi0, cert.chi1)
 
 
@@ -216,32 +225,25 @@ class RootSystemData:
     all_roots: list
     positive_roots: list       # lex increasing; sigma_j refers to entry j-1
     simple_roots: list
+    simple_index: tuple        # positive-root index of each simple root
     dynkin: tuple              # multiset of component labels, e.g. ('E6', 'E6')
     two_delta: list            # 2 * Weyl vector, integers: the sum of the positive roots
     components: tuple          # per component: dict label -> positive-root index
 
 
 def positive_simple_roots(roots, gram_pos) -> RootSystemData:
-    """Positive roots (first nonzero coordinate > 0), simple roots, twice the Weyl vector."""
-    positive = [r for r in roots if _is_positive(r)]
-    positive.sort()
-    pos_set = set(positive)
+    """Positive roots (first nonzero coordinate > 0), twice the Weyl vector, and
+    the simple roots: the positive roots of height 1, (2 delta, alpha) = 2."""
+    zero = (0,) * len(gram_pos)
+    positive = sorted(r for r in roots if r > zero)
     if 2 * len(positive) != len(roots):
         raise AssertionError("roots must come in +- pairs")
-    simple = []
-    for p in positive:
-        if not any(tuple(a - b for a, b in zip(p, q)) in pos_set for q in positive):
-            simple.append(p)
     two_delta = [sum(p[i] for p in positive) for i in range(len(gram_pos))]
-    comps, labels = _dynkin_components(simple, gram_pos, positive)
-    return RootSystemData(list(roots), positive, simple, labels, two_delta, comps)
-
-
-def _is_positive(r) -> bool:
-    for x in r:
-        if x:
-            return x > 0
-    return False
+    g_two_delta = linalg.mat_vec(gram_pos, two_delta)
+    index = tuple(k for k, p in enumerate(positive) if linalg.dot(g_two_delta, p) == 2)
+    simple = [positive[k] for k in index]
+    comps, labels = _dynkin_components(simple, gram_pos, index)
+    return RootSystemData(list(roots), positive, simple, index, labels, two_delta, comps)
 
 
 def pairing(gram, u, v):
@@ -249,11 +251,14 @@ def pairing(gram, u, v):
 
 
 def dynkin_classify(simple_roots, gram_pos):
-    """Multiset of ADE labels of the Coxeter graph of the simple roots."""
-    return _dynkin_components(simple_roots, gram_pos, None)[1]
+    """Multiset of ADE labels of the Coxeter graph of the simple roots.  No caller
+    in the package: kept as the paper's Dynkin types, which test_picard checks."""
+    return _dynkin_components(simple_roots, gram_pos, range(len(simple_roots)))[1]
 
 
-def _dynkin_components(simple, gram, positive):
+def _dynkin_components(simple, gram, index):
+    """(components, labels), largest first; a component maps each name to
+    index[node], with index[i] the positive-root index of simple[i]."""
     n = len(simple)
     adj = {i: [] for i in range(n)}
     for i in range(n):
@@ -273,9 +278,7 @@ def _dynkin_components(simple, gram, positive):
         comp = _collect(start, adj, seen)
         label, naming = _classify_component(comp, adj)
         labels.append(label)
-        if positive is not None:
-            naming = {name: positive.index(simple[node]) for name, node in naming.items()}
-        comps.append(naming)
+        comps.append({name: index[node] for name, node in naming.items()})
     order = sorted(range(len(labels)), key=lambda i: (-_ade_size(labels[i]), labels[i]))
     return tuple(comps[i] for i in order), tuple(labels[i] for i in order)
 
@@ -439,13 +442,8 @@ def _reflect(m, u, gu, sign):
             m[i] = [a - sign * ui * b for a, b in zip(m[i], row)]
 
 
-def preserves_positive_roots(result: BringBackResult, rs: RootSystemData) -> bool:
-    pos_set = set(rs.positive_roots)
-    for u in rs.positive_roots:
-        img = tuple(linalg.mat_vec(result.modified_on_pic, list(u)))
-        if img not in pos_set:
-            return False
-    return True
+class PositivityError(AssertionError):
+    """The modified matrix maps a simple root to a root that is not simple."""
 
 
 def dynkin_action(result: BringBackResult, rs: RootSystemData):
@@ -453,7 +451,10 @@ def dynkin_action(result: BringBackResult, rs: RootSystemData):
 
     Returns (mapping, cycles) where mapping sends each simple-root position
     to the position of its image and cycles is the cycle decomposition over
-    the canonical component labels like 'E6#1:e3'.
+    the canonical component labels like 'E6#1:e3'.  This is also the
+    positivity guard: F~|Pic is an isometry, so it preserves the positive
+    roots exactly when every simple root's image is simple, and
+    PositivityError is raised otherwise.
     """
     simple = rs.simple_roots
     index_of = {s: i for i, s in enumerate(simple)}
@@ -461,7 +462,8 @@ def dynkin_action(result: BringBackResult, rs: RootSystemData):
     for sroot in simple:
         img = tuple(linalg.mat_vec(result.modified_on_pic, list(sroot)))
         if img not in index_of:
-            raise AssertionError("image of a simple root is not simple")
+            raise PositivityError("modified matrix does not preserve the positive roots: "
+                                  "the image of a simple root is not simple")
         mapping.append(index_of[img])
     names = _simple_names(rs)
     cycles = []
@@ -490,8 +492,17 @@ def _simple_names(rs: RootSystemData):
         prefix = f"{label}#{counts[label]}"
         for name, pos_idx in naming.items():
             by_pos[pos_idx] = f"{prefix}:{name}"
-    names = {}
-    for i, s in enumerate(rs.simple_roots):
-        pos_idx = rs.positive_roots.index(s)
-        names[i] = by_pos[pos_idx]
-    return names
+    return {i: by_pos[k] for i, k in enumerate(rs.simple_index)}
+
+
+def transport(cert: K3Certificate):
+    """The chamber transport of a non-projective certificate, as (pic, rs,
+    result, cycles): the PicardLattice, its RootSystemData, bring_back's
+    result (lowest-index tie-break) and the Dynkin action's cycles.  Raises
+    PositivityError if the modified matrix does not keep the positive roots.
+    """
+    pic = picard_from_certificate(cert)
+    rs = positive_simple_roots(enumerate_root_system(pic.gram_pos), pic.gram_pos)
+    result = bring_back(pic, rs)
+    _mapping, cycles = dynkin_action(result, rs)
+    return pic, rs, result, cycles

@@ -44,13 +44,7 @@ from typing import NamedTuple
 from . import k3class
 from .clusters import gap_vector
 from .k3class import K3Certificate, trace_certificate_explain
-from .picard import (
-    bring_back,
-    enumerate_root_system,
-    picard_from_certificate,
-    positive_simple_roots,
-    preserves_positive_roots,
-)
+from .picard import transport
 from .polyring import (
     IntPoly,
     cyclotomic_indices_up_to_degree,
@@ -341,12 +335,7 @@ def _lehmer_entry(psi_label: str, multiset, cert) -> SearchEntry | None:
         return None
     tau = cert.special_trace.retargeted(lehmer_trace())
     st_label = _root_label(tau, lehmer_trace(), "x")
-    pic = picard_from_certificate(cert)
-    roots = enumerate_root_system(pic.gram_pos)
-    rs = positive_simple_roots(roots, pic.gram_pos)
-    result = bring_back(pic, rs)
-    if not preserves_positive_roots(result, rs):
-        raise AssertionError("modified matrix does not preserve the positive roots")
+    _pic, rs, result, _cycles = transport(cert)
     verdict = siegel_test(tau, builtin_q(_Q_BY_DYNKIN[rs.dynkin])).verdict
     return SearchEntry(psi_label, tuple(sorted(multiset)), cert.case, cert.table,
                        st_label, verdict, cert, dynkin=rs.dynkin,

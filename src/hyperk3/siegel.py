@@ -144,7 +144,9 @@ def verify_D_identity() -> bool:
                     + z/(1-(z^-1+z^2)+z) + z(z+1)/(z-1)^2 ]
     equals L(z) / ((z+1) C_1(z) C_3(z) C_5(z)) with C_1 = (z-1)^2, and in
     trace form z * LT(w) / ((z+1) CT_1(w) CT_3(w) CT_5(w)) with w = z + 1/z.
-    Returns True when both identities hold as exact rational functions.
+    Returns True when both identities hold as exact rational functions.  No
+    caller in the package: kept as the paper's identity, which the acceptance
+    tests check (criterion 9).
     """
     lhs = _RatZ.of(IntPoly((1, 1)))
     total = _RatZ.zero()

@@ -14,14 +14,7 @@ from hyperk3.clusters import compute_trace_clusters, index
 from hyperk3.hyplattice import build_lattice, signature_oracle
 from hyperk3.k3class import k3_certificate
 from hyperk3.numfield import recover_phi, trace_form_gram, unit_from_gram, verify_unit
-from hyperk3.picard import (
-    bring_back,
-    dynkin_action,
-    enumerate_root_system,
-    picard_from_certificate,
-    positive_simple_roots,
-    preserves_positive_roots,
-)
+from hyperk3.picard import bring_back, picard_from_certificate, transport
 from hyperk3.polyring import (
     IntPoly,
     classify_product,
@@ -188,15 +181,11 @@ def test_criterion_07_worked_example():
     phi, psi = pair_from_trace(lehmer_trace() * ctp([3, 4, 6, 8]),
                                salem_trace_deg11(3), "even")
     cert = k3_certificate(phi, psi, "A")
-    pic = picard_from_certificate(cert)
-    roots = enumerate_root_system(pic.gram_pos)
-    rs = positive_simple_roots(roots, pic.gram_pos)
-    assert len(roots) == 144
+    pic, rs, res, cycles = transport(cert)  # raises unless F~ keeps the positive roots
+    assert len(rs.all_roots) == 144
     assert len(rs.positive_roots) == 72
     assert len(rs.simple_roots) == 12
     assert rs.dynkin == ("E6", "E6")
-    res = bring_back(pic, rs)
-    assert preserves_positive_roots(res, rs)
     assert res.chi1_tilde == cyclotomic(1) ** 4 * cyclotomic(2) ** 4 * cyclotomic(4) ** 2
     assert res.trace_tilde == -1
     # the documented lowest-index tie-break fixes this word; the reference
@@ -205,7 +194,6 @@ def test_criterion_07_worked_example():
     res_ref = bring_back(pic, rs, tie_break="highest")
     assert res_ref.word == (5, 23, 35, 41, 62, 57, 72)
     assert res_ref.modified == res.modified
-    _mapping, cycles = dynkin_action(res, rs)
     by_len = sorted(tuple(sorted(c)) for c in cycles)
     assert sorted(len(c) for c in cycles) == [2, 2, 4, 4]
     assert tuple(sorted(("E6#1:e2", "E6#2:e2"))) in by_len

@@ -231,6 +231,32 @@ def test_bringback_rho_zero():
     assert rc == 0 and "action: identity" in out
 
 
+def test_bringback_guard_failure_exits_3(monkeypatch):
+    """If bring_back handed back the unmodified F|Pic, which moves a positive root
+    to a negative one, bringback exits 3; any other AssertionError propagates."""
+    import dataclasses
+
+    from hyperk3 import picard
+
+    real = picard.bring_back
+
+    def unmodified(pic, rs, tie_break="lowest"):
+        return dataclasses.replace(real(pic, rs, tie_break), modified_on_pic=pic.f_on_pic)
+
+    args = ["bringback", "--phi", "LT*CT(3)*CT(4)*CT(6)*CT(8)", "--psi", "R(3)", "--side", "A"]
+    monkeypatch.setattr(picard, "bring_back", unmodified)
+    rc, out, err = cap(args)
+    assert (rc, out) == (3, "")
+    assert err == "hyperk3: internal: modified matrix fails to preserve positive roots\n"
+
+    def broken(pic, rs, tie_break="lowest"):
+        raise AssertionError("reflection ascent failed to terminate")
+
+    monkeypatch.setattr(picard, "bring_back", broken)
+    with pytest.raises(AssertionError, match="failed to terminate"):
+        run(args)
+
+
 def test_picard_record():
     rc, out, _ = cap(["picard", "--phi", "LT*CT(4)*CT(20)", "--psi", "R(1)",
                       "--side", "A"])

@@ -155,3 +155,7 @@ def test_signature_oracle():
 def test_companion_convention():
     f = IntPoly((3, -2, 1))  # z^2 - 2z + 3
     assert companion(f) == [[0, -3], [1, 2]]
+    assert companion(IntPoly.one()) == []
+    for f in (IntPoly((1, 2)), IntPoly.const(2), IntPoly.zero()):
+        with pytest.raises(ValueError, match="monic"):
+            companion(f)

@@ -15,6 +15,7 @@ from hyperk3.k3class import k3_certificate
 from hyperk3.picard import (
     BringBackResult,
     MAX_ASCENT_STEPS,
+    PositivityError,
     _lll_gram,
     bring_back,
     dynkin_action,
@@ -24,7 +25,7 @@ from hyperk3.picard import (
     picard_from_certificate,
     picard_gram,
     positive_simple_roots,
-    preserves_positive_roots,
+    transport,
 )
 from hyperk3.hyplattice import build_lattice, companion, signature_oracle
 from hyperk3.polyring import (
@@ -85,8 +86,10 @@ def test_enumeration_matches_brute_force(gram, expected):
     assert roots == brute_force_roots(gram)
 
 
-def test_enumeration_random_definite_grams():
+def _seeded_even_grams():
+    """Ten random positive definite even Grams 2 M^T M of rank 2..5, seed 17."""
     rng = random.Random(17)
+    out = []
     for _ in range(10):
         n = rng.randint(2, 5)
         while True:
@@ -95,6 +98,12 @@ def test_enumeration_random_definite_grams():
             g = [[2 * g[i][j] for j in range(n)] for i in range(n)]
             if linalg.is_positive_definite(g):
                 break
+        out.append(g)
+    return out
+
+
+def test_enumeration_random_definite_grams():
+    for g in _seeded_even_grams():
         assert enumerate_root_system(g) == brute_force_roots(g)
 
 
@@ -192,13 +201,18 @@ REFERENCE_ROWS = [r for r in LEHMER_ROWS if _row_id(r) not in SLOW_FOR_REFERENCE
 
 
 @functools.lru_cache(maxsize=None)
-def lehmer_picard(row):
+def lehmer_transport(row):
     _label, side, i, ks = row
     if side == "A":
         phi, psi = pair_from_trace(lehmer_trace() * ct_product(ks), salem_trace_deg11(i), "even")
     else:
         phi, psi = pair_from_trace(ct_product(ks), lehmer_nf(i), "even")
-    return picard_from_certificate(k3_certificate(phi, psi, side))
+    return transport(k3_certificate(phi, psi, side))
+
+
+def lehmer_picard(row):
+    pic, _rs, _res, _cycles = lehmer_transport(row)
+    return pic
 
 
 def lehmer_gram(row):
@@ -342,22 +356,21 @@ def test_dynkin_classify_families():
     assert rs.dynkin == ("A3",)
 
 
+@functools.lru_cache(maxsize=1)
 def worked_example():
+    """The R3 {3,4,6,8} row of min_a.tsv: its certificate and its transport."""
     Phi = lehmer_trace() * ctp([3, 4, 6, 8])
     phi, psi = pair_from_trace(Phi, salem_trace_deg11(3), "even")
     cert = k3_certificate(phi, psi, "A")
-    pic = picard_from_certificate(cert)
-    roots = enumerate_root_system(pic.gram_pos)
-    rs = positive_simple_roots(roots, pic.gram_pos)
-    return cert, pic, roots, rs
+    return cert, transport(cert)
 
 
 def test_worked_example_counts_and_type():
-    cert, pic, roots, rs = worked_example()
+    _cert, (pic, rs, _res, _cycles) = worked_example()
     assert pic.rho == 12
     assert all(pic.gram_pos[i][j] == pic.gram_pos[0][abs(i - j)]
                for i in range(12) for j in range(12))  # Toeplitz
-    assert len(roots) == 144
+    assert len(rs.all_roots) == 144
     assert len(rs.positive_roots) == 72
     assert len(rs.simple_roots) == 12
     assert rs.dynkin == ("E6", "E6")
@@ -373,8 +386,7 @@ def test_worked_example_counts_and_type():
 
 
 def test_worked_example_bring_back():
-    cert, pic, roots, rs = worked_example()
-    res = bring_back(pic, rs)
+    _cert, (pic, rs, res, _cycles) = worked_example()
     assert res.word == (35, 23, 5, 41, 62, 57, 72)  # documented lowest-index tie-break
     res_hi = bring_back(pic, rs, tie_break="highest")
     assert res_hi.word == (5, 23, 35, 41, 62, 57, 72)  # the reference word
@@ -391,9 +403,7 @@ def test_worked_example_bring_back():
 
 
 def test_worked_example_dynkin_action():
-    cert, pic, roots, rs = worked_example()
-    res = bring_back(pic, rs)
-    _mapping, cycles = dynkin_action(res, rs)
+    _cert, (_pic, _rs, _res, cycles) = worked_example()
     cycs = {frozenset(c) for c in cycles}
     assert {frozenset({"E6#1:e2", "E6#2:e2"}), frozenset({"E6#1:e4", "E6#2:e4"})} <= cycs
     four = [c for c in cycles if len(c) == 4]
@@ -422,8 +432,7 @@ def test_weyl_part_fixes_pic_complement():
     """w_F acts as the identity on the orthogonal complement of Pic."""
     from fractions import Fraction
 
-    cert, pic, roots, rs = worked_example()
-    res = bring_back(pic, rs)
+    _cert, (pic, _rs, res, _cycles) = worked_example()
     n = pic.lattice.n
     g = pic.lattice.gram_a
     # w = F~ F^(-1); solve S^T G v = 0 for the complement of the Picard block
@@ -496,16 +505,11 @@ def test_minB_pipeline_e8a2a2():
     phi, psi = pair_from_trace(Phi, lehmer_nf(6), "even")
     cert = k3_certificate(phi, psi, "B")
     assert cert is not None
-    pic = picard_from_certificate(cert)
-    roots = enumerate_root_system(pic.gram_pos)
-    rs = positive_simple_roots(roots, pic.gram_pos)
+    _pic, rs, res, cycles = transport(cert)
     assert rs.dynkin == ("E8", "A2", "A2")
-    assert len(roots) == 240 + 6 + 6
-    res = bring_back(pic, rs)
-    assert preserves_positive_roots(res, rs)
+    assert len(rs.all_roots) == 240 + 6 + 6
     assert res.trace_tilde == 7
     assert res.chi1_tilde == cyclotomic(1) ** 9 * cyclotomic(2) * cyclotomic(4)
-    mapping, cycles = dynkin_action(res, rs)
     assert len(cycles) == 1 and len(cycles[0]) == 4
     labels = set(cycles[0])
     assert all(lbl.startswith("A2#") for lbl in labels)
@@ -519,14 +523,10 @@ def test_d10_action_swaps_fork():
     Phi = lehmer_trace() * ctp([4, 6, 7])
     phi, psi = pair_from_trace(Phi, salem_trace_deg11(1), "even")
     cert = k3_certificate(phi, psi, "A")
-    pic = picard_from_certificate(cert)
-    roots = enumerate_root_system(pic.gram_pos)
-    rs = positive_simple_roots(roots, pic.gram_pos)
+    _pic, rs, res, cycles = transport(cert)
     assert rs.dynkin == ("D10",)
-    res = bring_back(pic, rs)
     assert res.chi1_tilde == cyclotomic(1) ** 9 * cyclotomic(2) * cyclotomic(4)
     assert res.trace_tilde == 7
-    _mapping, cycles = dynkin_action(res, rs)
     assert len(cycles) == 1
     assert set(cycles[0]) == {"D10#1:e9", "D10#1:e10"}
 
@@ -535,12 +535,8 @@ def test_a2_action_identity():
     Phi = lehmer_trace() * ctp([3, 15])
     phi, psi = pair_from_trace(Phi, salem_trace_deg11(3), "even")
     cert = k3_certificate(phi, psi, "A")
-    pic = picard_from_certificate(cert)
-    roots = enumerate_root_system(pic.gram_pos)
-    rs = positive_simple_roots(roots, pic.gram_pos)
+    _pic, rs, res, cycles = transport(cert)
     assert rs.dynkin == ("A2",)
-    res = bring_back(pic, rs)
-    _mapping, cycles = dynkin_action(res, rs)
     assert cycles == ()  # every simple root fixed
     assert res.chi1_tilde == cyclotomic(1) ** 2 * cyclotomic(3) * cyclotomic(15)
     assert res.trace_tilde == 1
@@ -614,10 +610,9 @@ def fraction_bring_back(pic, rs, tie_break="lowest"):
                            chi1_tilde, chi_tilde.trace())
 
 
-@functools.lru_cache(maxsize=None)
 def lehmer_root_system(row):
-    gram = lehmer_gram(row)
-    return positive_simple_roots(enumerate_root_system(gram), gram)
+    _pic, rs, _res, _cycles = lehmer_transport(row)
+    return rs
 
 
 @pytest.mark.parametrize("row", LEHMER_ROWS, ids=_row_id)
@@ -643,13 +638,13 @@ def test_bring_back_matches_fraction_ascent(row):
 
 def test_bring_back_guard_trips_on_wrong_sign():
     """With sign_pic flipped the updates on L are not reflections and F~ S != S F~|Pic."""
-    _cert, pic, _roots, rs = worked_example()
+    _cert, (pic, rs, _res, _cycles) = worked_example()
     with pytest.raises(AssertionError, match="does not restrict to its Picard block"):
         bring_back(dataclasses.replace(pic, sign_pic=-pic.sign_pic), rs)
 
 
 def test_two_delta_is_integral():
-    _cert, pic, _roots, rs = worked_example()
+    _cert, (pic, rs, _res, _cycles) = worked_example()
     assert len(rs.two_delta) == pic.rho
     assert all(type(x) is int for x in rs.two_delta)
     assert rs.two_delta == [sum(p[i] for p in rs.positive_roots) for i in range(pic.rho)]
@@ -657,7 +652,7 @@ def test_two_delta_is_integral():
 
 def test_bring_back_one_charpoly_on_pic(monkeypatch):
     """chi~ costs one rho x rho characteristic polynomial, no 22 x 22 one."""
-    _cert, pic, _roots, rs = worked_example()
+    _cert, (pic, rs, _res, _cycles) = worked_example()
     sizes = []
     charpoly = linalg.charpoly
 
@@ -668,6 +663,75 @@ def test_bring_back_one_charpoly_on_pic(monkeypatch):
     monkeypatch.setattr(linalg, "charpoly", counting)
     bring_back(pic, rs)
     assert sizes == [pic.rho]
+
+
+# ---------------------------------------------------------------------------
+# simple roots by height and the simple-root guard against the old searches
+# ---------------------------------------------------------------------------
+
+
+def pairwise_simple_roots(positive):
+    """Reference: the positive roots that are no sum of two positive roots.
+
+    This was the package's simple-root search before the height rule; it
+    tests every pair of positive roots and is kept here to compare against.
+    """
+    pos_set = set(positive)
+    return [p for p in positive
+            if not any(tuple(a - b for a, b in zip(p, q)) in pos_set for q in positive)]
+
+
+def preserves_positive_roots(result, rs):
+    """Reference: F~|Pic maps every positive root to a positive root.
+
+    This was the package's guard before the Dynkin action took its place;
+    it maps all positive roots and is kept here to compare against.
+    """
+    pos_set = set(rs.positive_roots)
+    return all(tuple(linalg.mat_vec(result.modified_on_pic, list(u))) in pos_set
+               for u in rs.positive_roots)
+
+
+# case -> Gram; None marks a Lehmer row, whose root system comes from transport.
+# The skewed D4 and E8 order their roots, and so choose their positive roots,
+# differently from the reduced ones.
+SIMPLE_ROOT_CASES = {**SMALL_GRAMS,
+                     **{f"{name}-skewed": congruent(g, random_unimodular(random.Random(5), len(g),
+                                                                         6 * len(g))[0])
+                        for name, g in (("D4", D4), ("E8", E8))},
+                     **{f"seed17-{i}": g for i, g in enumerate(_seeded_even_grams())},
+                     **{_row_id(r): None for r in LEHMER_ROWS}}
+
+
+@pytest.mark.parametrize("case", list(SIMPLE_ROOT_CASES))
+def test_simple_roots_by_height_match_pairwise(case):
+    """The height-1 positive roots are the pairwise search's simple roots, in order,
+    and each simple root records its positive-root index."""
+    gram = SIMPLE_ROOT_CASES[case]
+    rs = lehmer_root_system(ROW_BY_ID[case]) if gram is None else \
+        positive_simple_roots(enumerate_root_system(gram), gram)
+    assert rs.simple_roots == pairwise_simple_roots(rs.positive_roots)
+    assert rs.simple_index == tuple(rs.positive_roots.index(r) for r in rs.simple_roots)
+
+
+def _guard_passes(result, rs):
+    try:
+        dynkin_action(result, rs)
+    except PositivityError:
+        return False
+    return True
+
+
+def test_simple_root_guard_matches_full_guard():
+    """On the 39 F~ (which preserve the positive roots) and the 39 unmodified
+    F|Pic (which do not, every row having rho >= 12) the Dynkin action's guard
+    gives the full guard's verdict."""
+    for row in LEHMER_ROWS:
+        pic, rs, res, _cycles = lehmer_transport(row)
+        unmodified = dataclasses.replace(res, modified_on_pic=pic.f_on_pic)
+        for result, expect in ((res, True), (unmodified, False)):
+            assert preserves_positive_roots(result, rs) == expect, _row_id(row)
+            assert _guard_passes(result, rs) == expect, _row_id(row)
 
 
 def _random_symmetric(rng, n):

@@ -146,6 +146,21 @@ def test_lehmer_b_matches_fixture(min_b_fixture, lehmer_b_entries):
     assert got_cmp == expect_cmp
 
 
+def test_lehmer_entry_guard_failure_raises(monkeypatch):
+    """A Lehmer entry whose modified matrix moved a positive root off the positive
+    roots (here bring_back handing back the unmodified F|Pic) raises AssertionError."""
+    import dataclasses
+
+    from hyperk3 import picard
+
+    real = picard.bring_back
+    assert search._worker_lehmer_a((3, (3, 4, 6, 8))).dynkin == ("E6", "E6")
+    monkeypatch.setattr(picard, "bring_back", lambda pic, rs: dataclasses.replace(
+        real(pic, rs), modified_on_pic=pic.f_on_pic))
+    with pytest.raises(AssertionError, match="does not preserve the positive roots"):
+        search._worker_lehmer_a((3, (3, 4, 6, 8)))
+
+
 def test_lehmer_nf_catalog():
     """Only the unramified L_i can support unimodular lattices at all."""
     for i in range(1, 9):
